@@ -54,6 +54,29 @@ void BM_FlowReallocation(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowReallocation)->Arg(16)->Arg(64)->Arg(256);
 
+// Route set-up as the control plane does it: path_latency(worker,
+// scheduler) for every worker of the 100 x 100 scale platform, on a freshly
+// built topology (empty route cache) each iteration. This explains the
+// setup_s of perfbench's `scale` workload; it does not replace it.
+void BM_RouteQuery(benchmark::State& state) {
+  net::TiersParams tp;
+  tp.num_sites = 100;
+  tp.workers_per_site = 100;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const net::GridTopology g = net::build_tiers_topology(tp);
+    state.ResumeTiming();
+    SimTime total = 0;
+    for (const std::vector<NodeId>& site : g.worker_nodes)
+      for (NodeId w : site)
+        total += g.topology.path_latency(w, g.scheduler_node);
+    benchmark::DoNotOptimize(total);
+  }
+  state.SetItemsProcessed(state.iterations() * tp.num_sites *
+                          tp.workers_per_site);
+}
+BENCHMARK(BM_RouteQuery)->Unit(benchmark::kMillisecond);
+
 void BM_Reallocate(benchmark::State& state, bool incremental) {
   // Steady-state reallocation cost at N concurrent flows. The platform is
   // the grid's LAN sharing pattern: disjoint site switches, four worker

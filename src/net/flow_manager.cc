@@ -93,7 +93,7 @@ FlowId FlowManager::start_flow(NodeId src, NodeId dst, Bytes bytes,
   FlowId id(next_flow_++);
   Flow f;
   f.id = id;
-  f.route = topo_.route(src, dst);  // copy: route cache may rehash
+  f.route = topo_.route(src, dst);  // copy: add_node/add_link clear routes
   f.total = static_cast<double>(bytes);
   f.remaining = f.total;
   bytes_started_ += f.total;
@@ -101,7 +101,8 @@ FlowId FlowManager::start_flow(NodeId src, NodeId dst, Bytes bytes,
   f.started = sim_.now();
   f.last_update = sim_.now();
   f.dst = dst;
-  SimTime latency = topo_.path_latency(src, dst);
+  SimTime latency = 0;  // path_latency(src, dst), summed in route order
+  for (LinkId lid : f.route) latency += topo_.link(lid).latency_s;
   auto [it, ok] = flows_.emplace(id, std::move(f));
   WCS_CHECK(ok);
   it->second.pending_event =

@@ -1,7 +1,6 @@
 #include "net/topology.h"
 
 #include <algorithm>
-#include <limits>
 #include <queue>
 
 namespace wcs::net {
@@ -9,7 +8,7 @@ namespace wcs::net {
 NodeId Topology::add_node(std::string name) {
   NodeId id(static_cast<NodeId::underlying_type>(nodes_.size()));
   nodes_.push_back(Node{id, std::move(name), {}});
-  tables_.clear();  // invalidate cached routes
+  routes_.clear();  // invalidate cached routes
   return id;
 }
 
@@ -24,72 +23,62 @@ LinkId Topology::add_link(NodeId a, NodeId b, double bandwidth_bps,
   links_.push_back(Link{id, a, b, bandwidth_bps, latency_s, std::move(name)});
   nodes_[a.value()].links.push_back(id);
   nodes_[b.value()].links.push_back(id);
-  tables_.clear();
+  routes_.clear();
   return id;
-}
-
-void Topology::build_table(NodeId src) const {
-  RouteTable table;
-  const auto n = nodes_.size();
-  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-  table.parent_link.assign(n, LinkId::invalid());
-
-  // Dijkstra keyed by (latency, node index) — the node-index tiebreak makes
-  // equal-latency route choices deterministic across runs and platforms.
-  using QEntry = std::pair<double, NodeId::underlying_type>;
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
-  dist[src.value()] = 0;
-  pq.emplace(0.0, src.value());
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
-    for (LinkId lid : nodes_[u].links) {
-      const Link& l = links_[lid.value()];
-      NodeId v = other_end(l, NodeId(u));
-      double nd = d + l.latency_s;
-      auto vi = v.value();
-      // Strictly-better only. Equal-cost alternatives are resolved by the
-      // deterministic visit order (pq keyed by (distance, node index),
-      // links iterated in insertion order), so the tree is reproducible;
-      // rewriting parents on ties can create cycles with zero-latency
-      // links.
-      if (nd < dist[vi]) {
-        dist[vi] = nd;
-        table.parent_link[vi] = lid;
-        pq.emplace(nd, vi);
-      }
-    }
-  }
-  tables_.emplace(src, std::move(table));
 }
 
 const Route& Topology::route(NodeId src, NodeId dst) const {
   WCS_CHECK(src.valid() && src.value() < nodes_.size());
   WCS_CHECK(dst.valid() && dst.value() < nodes_.size());
-  auto it = tables_.find(src);
-  if (it == tables_.end()) {
-    build_table(src);
-    it = tables_.find(src);
+  const std::uint64_t key = (std::uint64_t{src.value()} << 32) | dst.value();
+  if (auto it = routes_.find(key); it != routes_.end()) return it->second;
+
+  // Reset what the last search touched (it may have thrown), then grow the
+  // scratch over nodes added since.
+  for (auto i : touched_) scratch_[i] = Label{};
+  touched_.assign(1, src.value());
+  scratch_.resize(nodes_.size());
+
+  // Dijkstra keyed by (latency, node index) — the node-index tiebreak makes
+  // equal-latency route choices deterministic across runs and platforms.
+  // It stops once dst is settled: settled nodes never change parent, so
+  // the route is the one a full search from src would give.
+  using QEntry = std::pair<double, NodeId::underlying_type>;
+  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
+  scratch_[src.value()].dist = 0;
+  pq.emplace(0.0, src.value());
+  while (!pq.empty()) {
+    auto [d, u] = pq.top();
+    pq.pop();
+    if (d > scratch_[u].dist) continue;
+    if (u == dst.value()) break;
+    for (LinkId lid : nodes_[u].links) {
+      const Link& l = links_[lid.value()];
+      auto vi = other_end(l, NodeId(u)).value();
+      Label& v = scratch_[vi];
+      double nd = d + l.latency_s;
+      // Strictly-better only. Equal-cost alternatives are resolved by the
+      // deterministic visit order (pq keyed by (distance, node index),
+      // links iterated in insertion order), so the tree is reproducible;
+      // rewriting parents on ties can create cycles with zero-latency
+      // links.
+      if (nd < v.dist) {
+        if (!v.parent_link.valid()) touched_.push_back(vi);
+        v = Label{nd, lid};
+        pq.emplace(nd, vi);
+      }
+    }
   }
-  RouteTable& table = it->second;
-  auto rit = table.routes.find(dst);
-  if (rit != table.routes.end()) return rit->second;
 
   Route r;
-  if (src != dst) {
-    NodeId cur = dst;
-    while (cur != src) {
-      LinkId pl = table.parent_link[cur.value()];
-      WCS_CHECK_MSG(pl.valid(), "node " << dst << " unreachable from " << src);
-      r.push_back(pl);
-      cur = other_end(links_[pl.value()], cur);
-    }
-    std::reverse(r.begin(), r.end());
+  for (NodeId cur = dst; cur != src;) {
+    LinkId pl = scratch_[cur.value()].parent_link;
+    WCS_CHECK_MSG(pl.valid(), "node " << dst << " unreachable from " << src);
+    r.push_back(pl);
+    cur = other_end(links_[pl.value()], cur);
   }
-  auto [ins, ok] = table.routes.emplace(dst, std::move(r));
-  WCS_CHECK(ok);
-  return ins->second;
+  std::reverse(r.begin(), r.end());
+  return routes_.emplace(key, std::move(r)).first->second;
 }
 
 SimTime Topology::path_latency(NodeId src, NodeId dst) const {

@@ -1,10 +1,14 @@
 // Network topology: nodes, duplex links, and latency-shortest-path routing.
 //
-// The topology is static for the lifetime of a simulation. Routes are
-// computed with Dijkstra (edge weight = latency, deterministic
-// tie-breaking) and cached per source node.
+// The topology is static for the lifetime of a simulation. route(src, dst)
+// runs Dijkstra from src (edge weight = latency, deterministic
+// tie-breaking) only until dst is settled, and caches the route per
+// (src, dst) pair: O(k log k) in the k nodes closer to src than dst, with
+// no per-source tables.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -51,10 +55,11 @@ class Topology {
   }
 
   // Route from src to dst. Returns an empty route when src == dst.
-  // Throws if dst is unreachable.
+  // Throws if dst is unreachable. The reference stays valid until the
+  // next add_node/add_link, which clears the route cache.
   [[nodiscard]] const Route& route(NodeId src, NodeId dst) const;
 
-  // Sum of link latencies along route(src, dst).
+  // Sum of link latencies along route(src, dst), in route order.
   [[nodiscard]] SimTime path_latency(NodeId src, NodeId dst) const;
 
   // Minimum link bandwidth along route(src, dst); +inf when src == dst.
@@ -64,20 +69,21 @@ class Topology {
   [[nodiscard]] bool connected() const;
 
  private:
-  // Per-source shortest path tree: parent link of each node.
-  struct RouteTable {
-    std::vector<LinkId> parent_link;  // indexed by node
-    std::unordered_map<NodeId, Route> routes;
-  };
-
-  void build_table(NodeId src) const;
   [[nodiscard]] NodeId other_end(const Link& l, NodeId from) const {
     return l.a == from ? l.b : l.a;
   }
 
+  // Per-node search state; only touched_ entries differ from Label{}.
+  struct Label {
+    double dist = std::numeric_limits<double>::infinity();
+    LinkId parent_link;
+  };
+
   std::vector<Node> nodes_;
   std::vector<Link> links_;
-  mutable std::unordered_map<NodeId, RouteTable> tables_;
+  mutable std::unordered_map<std::uint64_t, Route> routes_;  // src<<32|dst
+  mutable std::vector<Label> scratch_;
+  mutable std::vector<NodeId::underlying_type> touched_;
 };
 
 }  // namespace wcs::net

@@ -1,8 +1,11 @@
 #include "scenario/cli.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "scenario/catalog.h"
@@ -33,13 +36,31 @@ struct CliOptions {
   std::string arrival;   // --arrival: t0|poisson|diurnal|bursty
 };
 
-// --tenants accepts a count ("3": three equal-weight tenants) or an
-// explicit comma-separated weight list ("3,1,2").
-std::vector<wcs::workload::TenantInfo> parse_tenants(const std::string& arg) {
+[[noreturn]] void usage_error(const std::string& message) {
+  std::cerr << message << '\n';
+  std::exit(2);
+}
+
+// Strict numeric values: the whole string, no sign wrap, finite and at
+// most `max`. Anything else is a usage error naming `what`.
+template <typename T = std::size_t>
+T parse_number(const std::string& what, const std::string& text,
+               T max = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || !(value <= max))
+    usage_error("invalid " + what + " value '" + text + "'");
+  return value;
+}
+
+// --tenants accepts a count ("3": three equal-weight tenants, at most
+// `max_count`) or an explicit comma-separated weight list ("3,1,2").
+std::vector<wcs::workload::TenantInfo> parse_tenants(const std::string& arg,
+                                                     std::size_t max_count) {
   std::vector<wcs::workload::TenantInfo> tenants;
   if (arg.find(',') == std::string::npos) {
-    const std::size_t count = std::stoul(arg);
-    tenants.resize(count);
+    tenants.resize(parse_number("--tenants", arg, max_count));
     return tenants;
   }
   std::size_t pos = 0;
@@ -47,17 +68,12 @@ std::vector<wcs::workload::TenantInfo> parse_tenants(const std::string& arg) {
     std::size_t comma = arg.find(',', pos);
     if (comma == std::string::npos) comma = arg.size();
     wcs::workload::TenantInfo t;
-    t.weight = static_cast<std::uint32_t>(
-        std::stoul(arg.substr(pos, comma - pos)));
+    t.weight = parse_number<std::uint32_t>("--tenants weight",
+                                           arg.substr(pos, comma - pos));
     tenants.push_back(t);
     pos = comma + 1;
   }
   return tenants;
-}
-
-[[noreturn]] void usage_error(const std::string& message) {
-  std::cerr << message << '\n';
-  std::exit(2);
 }
 
 CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
@@ -73,7 +89,7 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
   if (const char* env = std::getenv("WCS_BENCH_FAST"); env && *env == '1')
     opt.fast = true;
   if (const char* env = std::getenv("WCS_BENCH_JOBS"); env && *env)
-    opt.run.jobs = std::stoul(env);
+    opt.run.jobs = parse_number("WCS_BENCH_JOBS", env);
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -89,11 +105,11 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
       // Optional value: --dump-scenario NAME selects like --scenario.
       if (i + 1 < argc && argv[i + 1][0] != '-') opt.scenario = argv[++i];
     } else if (arg == "--tasks") {
-      opt.tasks = std::stoul(next());
+      opt.tasks = parse_number(arg, next());
     } else if (arg == "--seeds") {
-      opt.run.seeds = std::stoul(next());
+      opt.run.seeds = parse_number(arg, next());
     } else if (arg == "--jobs") {
-      opt.run.jobs = std::stoul(next());
+      opt.run.jobs = parse_number(arg, next());
     } else if (arg == "--csv") {
       opt.run.csv_path = next();
     } else if (arg == "--fast") {
@@ -113,7 +129,7 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
     } else if (arg == "--whole-file-cache") {
       opt.whole_file = true;
     } else if (arg == "--block-size") {
-      opt.block_size_mb = std::stod(next());
+      opt.block_size_mb = parse_number<double>(arg, next());
       if (opt.block_size_mb <= 0) usage_error("--block-size must be > 0 MB");
     } else if (arg == "--replication-policy") {
       opt.replication = next();
@@ -250,7 +266,7 @@ int scenario_main(const std::string& default_scenario, int argc,
   // default coadd generator switch to the multi-tenant/stamped-arrival
   // paths; an explicit --workload always wins.
   if (!opt.tenants.empty()) {
-    spec.workload.open.tenants = parse_tenants(opt.tenants);
+    spec.workload.open.tenants = parse_tenants(opt.tenants, opt.tasks);
     if (opt.workload.empty() && spec.workload.open.tenants.size() > 1 &&
         spec.workload.generator == "coadd")
       spec.workload.generator = "multi-tenant";

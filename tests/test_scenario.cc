@@ -3,8 +3,10 @@
 // a schema-valid run report.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.h"
@@ -152,6 +154,51 @@ TEST(ScenarioCli, ListScenariosSucceeds) {
   std::string a1 = "--list-scenarios";
   char* argv[] = {arg0.data(), a1.data()};
   EXPECT_EQ(scenario_main("fig5_transfers", 2, argv), 0);
+}
+
+// Malformed numeric values exit through the usage path (exit 2) instead
+// of an uncaught std::stoul exception or a silent unsigned wrap.
+int run_cli(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return scenario_main("fig5_transfers", static_cast<int>(argv.size()),
+                       argv.data());
+}
+
+TEST(ScenarioCliDeathTest, NonNumericTasksIsUsageError) {
+  EXPECT_EXIT(run_cli({"bench_test", "--tasks", "abc", "--no-report"}),
+              ::testing::ExitedWithCode(2), "invalid --tasks value");
+}
+
+TEST(ScenarioCliDeathTest, NegativeTasksIsUsageErrorNotWrap) {
+  EXPECT_EXIT(run_cli({"bench_test", "--tasks", "-5", "--no-report"}),
+              ::testing::ExitedWithCode(2), "invalid --tasks value");
+}
+
+TEST(ScenarioCliDeathTest, MalformedNumbersAreUsageErrors) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--seeds", "2x"},
+      {"--jobs", "-1"},
+      {"--tasks", "99999999999999999999"},  // overflows 64 bits
+      {"--block-size", "nan"},
+      {"--block-size", "1e999"},
+      {"--tenants", "3,-1"},
+      {"--tenants", "3,,1"},
+      {"--tenants", "4294967296,1"},   // weight overflows 32 bits
+      {"--tenants", "1000000000000"}};  // more tenants than tasks
+  for (const auto& [flag, value] : cases)
+    EXPECT_EXIT(run_cli({"bench_test", flag, value, "--no-report"}),
+                ::testing::ExitedWithCode(2), "invalid " + flag)
+        << flag << ' ' << value;
+}
+
+TEST(ScenarioCliDeathTest, MalformedJobsEnvironmentIsUsageError) {
+  auto list_with_bad_jobs = [] {
+    setenv("WCS_BENCH_JOBS", "four", 1);  // only in the death-test child
+    return run_cli({"bench_test", "--list-scenarios"});
+  };
+  EXPECT_EXIT(list_with_bad_jobs(), ::testing::ExitedWithCode(2),
+              "invalid WCS_BENCH_JOBS value");
 }
 
 }  // namespace

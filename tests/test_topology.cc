@@ -1,6 +1,17 @@
 // Unit + property tests for net::Topology and the Tiers generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <queue>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "common/units.h"
 #include "net/tiers.h"
 #include "net/topology.h"
@@ -103,6 +114,177 @@ TEST(Topology, UnreachableThrows) {
 }
 
 TEST(Topology, ConnectedOnLine) { EXPECT_TRUE(line3().connected()); }
+
+// --- Differential oracle -------------------------------------------------
+//
+// The router that route() replaced: one full Dijkstra per source, keyed
+// by (latency, node index), strict improvement only. route() stops at dst
+// and caches per pair; it must agree with this link for link, and
+// path_latency() bit for bit, on every pair.
+
+std::vector<LinkId> oracle_parents(const Topology& t, NodeId src) {
+  const auto n = t.num_nodes();
+  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+  std::vector<LinkId> parent(n, LinkId::invalid());
+  using QEntry = std::pair<double, NodeId::underlying_type>;
+  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
+  dist[src.value()] = 0;
+  pq.emplace(0.0, src.value());
+  while (!pq.empty()) {
+    auto [d, u] = pq.top();
+    pq.pop();
+    if (d > dist[u]) continue;
+    for (LinkId lid : t.node(NodeId(u)).links) {
+      const Link& l = t.link(lid);
+      const auto v = (l.a == NodeId(u) ? l.b : l.a).value();
+      const double nd = d + l.latency_s;
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        parent[v] = lid;
+        pq.emplace(nd, v);
+      }
+    }
+  }
+  return parent;
+}
+
+// nullopt when dst is unreachable from src.
+std::optional<Route> oracle_route(const Topology& t,
+                                  const std::vector<LinkId>& parent,
+                                  NodeId src, NodeId dst) {
+  Route r;
+  for (NodeId cur = dst; cur != src;) {
+    const LinkId pl = parent[cur.value()];
+    if (!pl.valid()) return std::nullopt;
+    r.push_back(pl);
+    const Link& l = t.link(pl);
+    cur = l.a == cur ? l.b : l.a;
+  }
+  std::reverse(r.begin(), r.end());
+  return r;
+}
+
+// Queries every ordered pair in a seeded random order, so cached routes,
+// fresh searches and unreachable throws interleave on one Topology.
+void expect_routes_match_oracle(const Topology& t, std::uint64_t order_seed) {
+  using U = NodeId::underlying_type;
+  const auto n = static_cast<U>(t.num_nodes());
+  std::vector<std::vector<LinkId>> parents;
+  for (U s = 0; s < n; ++s) parents.push_back(oracle_parents(t, NodeId(s)));
+  std::vector<std::pair<U, U>> pairs;
+  for (U s = 0; s < n; ++s)
+    for (U d = 0; d < n; ++d) pairs.emplace_back(s, d);
+  Rng(order_seed).shuffle(pairs);
+  for (auto [s, d] : pairs) {
+    const NodeId src(s), dst(d);
+    const std::optional<Route> want = oracle_route(t, parents[s], src, dst);
+    if (!want) {
+      EXPECT_THROW((void)t.route(src, dst), std::logic_error)
+          << src << " -> " << dst;
+      continue;
+    }
+    ASSERT_EQ(t.route(src, dst), *want) << src << " -> " << dst;
+    SimTime latency = 0;
+    for (LinkId lid : *want) latency += t.link(lid).latency_s;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(t.path_latency(src, dst)),
+              std::bit_cast<std::uint64_t>(latency))
+        << src << " -> " << dst;
+  }
+}
+
+// A seeded random multigraph: a random spanning forest (one or two
+// components) plus extra links that close cycles, some parallel to
+// existing ones. Latencies come from a small palette with 0, so ties
+// and zero-latency links are common.
+Topology random_graph(std::uint64_t seed) {
+  Rng rng(seed);
+  const auto n = static_cast<std::size_t>(rng.uniform_int(2, 40));
+  constexpr double kPalette[] = {0.0, 0.001, 0.002, 0.003, 0.005};
+  auto latency = [&] { return kPalette[rng.index(std::size(kPalette))]; };
+  Topology t;
+  for (std::size_t i = 0; i < n; ++i) (void)t.add_node("n");
+  // Nodes [0, split) and [split, n) form the two components.
+  const std::size_t split = rng.bernoulli(0.3) ? 1 + rng.index(n - 1) : n;
+  auto id = [](std::size_t i) {
+    return NodeId(static_cast<NodeId::underlying_type>(i));
+  };
+  for (std::size_t i = 1; i < n; ++i) {
+    if (i == split) continue;
+    const std::size_t base = i < split ? 0 : split;
+    (void)t.add_link(id(i), id(base + rng.index(i - base)), 1e6, latency());
+  }
+  const auto extra = rng.uniform_int(0, static_cast<std::int64_t>(2 * n));
+  for (std::int64_t k = 0; k < extra; ++k) {
+    const std::size_t a = rng.index(n), b = rng.index(n);
+    if (a != b && (a < split) == (b < split))
+      (void)t.add_link(id(a), id(b), 1e6, latency());
+  }
+  return t;
+}
+
+TEST(RouteOracle, TiersRoutesMatchFullDijkstra) {
+  struct Shape {
+    int sites, workers;
+  };
+  for (Shape shape : {Shape{1, 1}, Shape{4, 3}, Shape{10, 1}, Shape{26, 2},
+                      Shape{40, 2}}) {
+    for (std::uint64_t seed : {1u, 2u, 7u}) {
+      TiersParams p;
+      p.num_sites = shape.sites;
+      p.workers_per_site = shape.workers;
+      p.seed = seed;
+      SCOPED_TRACE(::testing::Message() << shape.sites << " sites x "
+                                        << shape.workers << ", seed " << seed);
+      GridTopology g = build_tiers_topology(p);
+      expect_routes_match_oracle(g.topology, seed);
+    }
+  }
+}
+
+TEST(RouteOracle, RandomCyclicGraphsWithTiesMatchFullDijkstra) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "graph seed " << seed);
+    expect_routes_match_oracle(random_graph(seed), seed + 1000);
+  }
+}
+
+TEST(RouteOracle, AddLinkAndAddNodeInvalidateCachedRoutes) {
+  Topology t = line3(mbps(8), 0.01);
+  const NodeId a(0), c(2);
+  ASSERT_EQ(t.route(a, c).size(), 2u);
+  ASSERT_DOUBLE_EQ(t.path_latency(a, c), 0.02);
+  const LinkId shortcut = t.add_link(a, c, mbps(8), 0.005);
+  EXPECT_EQ(t.route(a, c), Route{shortcut});
+  EXPECT_DOUBLE_EQ(t.path_latency(a, c), 0.005);
+  const NodeId d = t.add_node("d");
+  EXPECT_THROW((void)t.route(a, d), std::logic_error);
+  const LinkId cd = t.add_link(c, d, mbps(8), 0.001);
+  EXPECT_EQ(t.route(a, d), (Route{shortcut, cd}));
+  expect_routes_match_oracle(t, 3);
+}
+
+TEST(RouteOracle, QueriesAfterAnUnreachableThrowStayCorrect) {
+  // Component 1: diamond a-b-d / a-c-d with equal latency and a zero-
+  // latency chord b-c. Component 2: the pair x-y.
+  Topology t;
+  const NodeId a = t.add_node("a"), b = t.add_node("b"),
+               c = t.add_node("c"), d = t.add_node("d");
+  const NodeId x = t.add_node("x"), y = t.add_node("y");
+  const LinkId ab = t.add_link(a, b, 1e6, 0.002);
+  const LinkId bd = t.add_link(b, d, 1e6, 0.002);
+  (void)t.add_link(a, c, 1e6, 0.002);
+  (void)t.add_link(c, d, 1e6, 0.002);
+  (void)t.add_link(b, c, 1e6, 0.0);
+  const LinkId xy = t.add_link(x, y, 1e6, 0.001);
+  // The failed search from a settles its whole component before giving
+  // up; the next searches must not see its distances or parents.
+  EXPECT_THROW((void)t.route(a, x), std::logic_error);
+  EXPECT_EQ(t.route(d, a), (Route{bd, ab}));
+  EXPECT_EQ(t.route(y, x), Route{xy});
+  EXPECT_THROW((void)t.route(x, d), std::logic_error);
+  EXPECT_EQ(t.route(a, d), (Route{ab, bd}));
+  expect_routes_match_oracle(t, 5);
+}
 
 // --- Tiers generator ----------------------------------------------------
 
