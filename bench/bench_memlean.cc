@@ -192,9 +192,6 @@ void write_memlean_entry(wcs::obs::JsonWriter& w, const Measurement& m) {
   w.member("scale", m.scale_label);
   w.member("tasks", static_cast<std::uint64_t>(m.tasks));
   w.member("workers", std::uint64_t{10000});
-  // Constant since the node-based legacy layout was dropped; kept so
-  // consumers (scripts/check_rss_budget.sh) key on a stable field.
-  w.member("layout", "flat");
   w.member("wall_seconds", m.wall_s);
   w.member("events", static_cast<std::uint64_t>(m.result.events_executed));
   w.member("events_per_second", m.events_per_s);

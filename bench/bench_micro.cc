@@ -77,14 +77,14 @@ void BM_RouteQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteQuery)->Unit(benchmark::kMillisecond);
 
-void BM_Reallocate(benchmark::State& state, bool incremental) {
+void BM_Reallocate(benchmark::State& state) {
   // Steady-state reallocation cost at N concurrent flows. The platform is
   // the grid's LAN sharing pattern: disjoint site switches, four worker
   // flows per site, so the sharing graph is many small components. Each
   // iteration churns one site-0 flow (cancel, start, activate) — two
-  // reallocations. Full mode refills the whole N-flow pool both times;
-  // incremental mode floods and refills only the ~4-flow component. Flow
-  // sizes are effectively infinite, so no completion ever interferes.
+  // reallocations, each flooding and refilling only the ~4-flow dirty
+  // component. Flow sizes are effectively infinite, so no completion ever
+  // interferes.
   const int kFlows = static_cast<int>(state.range(0));
   const int kPerSite = 4;
   const int kSites = (kFlows + kPerSite - 1) / kPerSite;
@@ -99,8 +99,7 @@ void BM_Reallocate(benchmark::State& state, bool incremental) {
       topo.add_link(switches.back(), workers.back(), 1e8, 0.0);
     }
   }
-  net::FlowManager flows(sim, topo,
-                         net::FlowManagerOptions{.incremental = incremental});
+  net::FlowManager flows(sim, topo);
   std::vector<FlowId> ids;
   ids.reserve(static_cast<std::size_t>(kFlows));
   for (int i = 0; i < kFlows; ++i)
@@ -121,14 +120,7 @@ void BM_Reallocate(benchmark::State& state, bool incremental) {
   state.SetItemsProcessed(state.iterations() * 2);  // reallocations
 }
 
-void BM_Reallocate_full(benchmark::State& state) {
-  BM_Reallocate(state, /*incremental=*/false);
-}
-void BM_Reallocate_incremental(benchmark::State& state) {
-  BM_Reallocate(state, /*incremental=*/true);
-}
-BENCHMARK(BM_Reallocate_full)->Arg(10)->Arg(100)->Arg(1000);
-BENCHMARK(BM_Reallocate_incremental)->Arg(10)->Arg(100)->Arg(1000);
+BENCHMARK(BM_Reallocate)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_CacheChurn(benchmark::State& state) {
   storage::FileCache cache(6000, storage::EvictionPolicy::kLru);

@@ -7,14 +7,14 @@
 #
 # Reads the canonical bench summary (written by bench_memlean; run
 # `build/bench/bench_memlean --fast` first if it is missing) and fails
-# if the 100k-task FLAT run's peak RSS exceeds the checked-in budget by
+# if the 100k-task run's peak RSS exceeds the checked-in budget by
 # more than 20%. The budget is the measured baseline on the reference
 # runner plus headroom for allocator/kernel noise; re-bless it here when
 # an intentional change moves the footprint.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Measured 100k flat baseline: `bench_memlean --fast` peak RSS, 897.9 MB
+# Measured 100k baseline: `bench_memlean --fast` peak RSS, 897.9 MB
 # on a 4-vCPU x86-64 VM with GCC 12 Release (results/BENCH_memlean.json;
 # the end-to-end baseline is in perfbench/README.md). It was 1,294 MB
 # while net::Topology kept one Dijkstra table per source. The gate fires
@@ -37,17 +37,16 @@ with open(summary_path) as f:
 
 # The 100k point is the budgeted one; a --tasks override (CI reduced
 # scale) labels its single point with the raw task count — budget-check
-# whatever flat run the summary holds at the largest scale <= 100k.
-flat = [r for r in doc.get("runs", []) if r.get("layout") == "flat"
-        and int(r.get("tasks", 0)) <= 100_000]
-if not flat:
-    sys.exit(f"check_rss_budget: no flat run at <= 100k tasks in {summary_path}")
-run = max(flat, key=lambda r: int(r["tasks"]))
+# whatever run the summary holds at the largest scale <= 100k.
+runs = [r for r in doc.get("runs", []) if int(r.get("tasks", 0)) <= 100_000]
+if not runs:
+    sys.exit(f"check_rss_budget: no run at <= 100k tasks in {summary_path}")
+run = max(runs, key=lambda r: int(r["tasks"]))
 
 peak = float(run["peak_rss_mb"])
 limit = budget_mb * 1.20
 scale = run.get("scale", run.get("tasks"))
-print(f"check_rss_budget: {scale} flat peak RSS {peak:.1f} MB "
+print(f"check_rss_budget: {scale} peak RSS {peak:.1f} MB "
       f"(budget {budget_mb:.0f} MB, limit {limit:.0f} MB)")
 if peak > limit:
     sys.exit(f"check_rss_budget: FAIL — peak RSS {peak:.1f} MB exceeds "

@@ -10,7 +10,6 @@
 
 #include "audit/invariant_auditor.h"
 #include "common/check.h"
-#include "net/flow_manager.h"
 #include "net/tiers.h"
 #include "obs/observability.h"
 #include "replication/data_replicator.h"
@@ -47,13 +46,6 @@ struct GridConfig {
   // for the reference whole-file mode.
   std::optional<storage::BlockStoreParams> block_store =
       storage::BlockStoreParams{};
-
-  // Max-min bandwidth reallocation mode: incremental dirty-component
-  // rebalancing (default) vs the full from-scratch recompute (scenario
-  // CLI: --full-realloc). Run totals are byte-identical either way — the
-  // reference mode exists for A/B timing and for debugging the dirty-set
-  // logic itself, mirroring --flat-index.
-  net::FlowManagerOptions flow;
 
   // Worker speeds: sampled from the top500-like table / 100 (Sec. 5.2).
   // Mixed with the topology seed so the 5 averaged repetitions also

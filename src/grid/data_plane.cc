@@ -7,7 +7,7 @@ DataPlane::DataPlane(const GridConfig& config, const workload::Job& job,
                      std::vector<double> bandwidth_estimate_error)
     : topo_(topo),
       bandwidth_estimate_error_(std::move(bandwidth_estimate_error)) {
-  flows_ = std::make_unique<net::FlowManager>(sim, topo_.topology, config.flow);
+  flows_ = std::make_unique<net::FlowManager>(sim, topo_.topology);
 
   if (config.block_store)
     block_map_ =

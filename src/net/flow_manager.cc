@@ -286,35 +286,17 @@ double FlowManager::flow_rate(FlowId id) const {
   return it->second.active ? it->second.rate : 0;
 }
 
-void FlowManager::collect_pool() {
+void FlowManager::build_component(const std::vector<LinkId>& seeds) {
+  ++epoch_;
+  component_.clear();
+  fill_links_.clear();
+  // The sharing pool (active, not draining) in canonical flow-id order.
   realloc_order_.clear();
   // detlint: unordered-loop -- collect-then-sort: 'realloc_order_' is sorted by flow id below
   for (auto& [id, f] : flows_)
     if (f.active && !f.draining) realloc_order_.push_back(&f);
   std::sort(realloc_order_.begin(), realloc_order_.end(),
             [](const Flow* a, const Flow* b) { return a->id < b->id; });
-}
-
-void FlowManager::build_component(const std::vector<LinkId>& seeds) {
-  ++epoch_;
-  component_.clear();
-  fill_links_.clear();
-  collect_pool();
-
-  if (!options_.incremental) {
-    // Reference mode: the component is the whole pool.
-    component_ = realloc_order_;
-    for (Flow* f : component_) {
-      for (LinkId lid : f->route) {
-        if (link_mark_[lid.value()] != epoch_) {
-          link_mark_[lid.value()] = epoch_;
-          fill_links_.push_back(lid);
-        }
-      }
-    }
-    std::sort(fill_links_.begin(), fill_links_.end());
-    return;
-  }
 
   for (LinkId lid : seeds) {
     if (link_mark_[lid.value()] != epoch_) {
@@ -352,7 +334,7 @@ void FlowManager::build_component(const std::vector<LinkId>& seeds) {
     }
   }
   // Flows join in flood order (pass by pass); restore the canonical id
-  // order the apply step and the full-recompute reference both use.
+  // order the apply step and the from-scratch oracle both use.
   std::sort(component_.begin(), component_.end(),
             [](const Flow* a, const Flow* b) { return a->id < b->id; });
   std::sort(fill_links_.begin(), fill_links_.end());
@@ -385,11 +367,10 @@ void FlowManager::reallocate(const Route& seed_links) {
                      realloc_unfixed_, component_rates_);
 
     // Apply in canonical id order. A flow whose share is unchanged keeps
-    // its progress, its last_update, and its scheduled completion event
-    // — this is the contract that makes incremental and full modes
-    // byte-identical: the full recompute produces the same share for
-    // every flow outside the affected component, so both modes settle
-    // and reschedule the very same flows in the very same order.
+    // its progress, its last_update, and its scheduled completion event,
+    // so the settle/reschedule sequence is exactly the one a whole-pool
+    // refill would produce: that refill gives every flow outside the
+    // component its current share, and so leaves it untouched.
     drained_scratch_.clear();
     for (std::size_t i = 0; i < component_.size(); ++i) {
       Flow& f = *component_[i];

@@ -6,22 +6,20 @@
 // progressive filling (max-min fairness) and each flow's completion event
 // is rescheduled for its new rate.
 //
-// Reallocation is INCREMENTAL by default (FlowManagerOptions::incremental,
-// CLI --full-realloc for the reference mode): a flow start/finish seeds a
-// dirty set with the links it traverses, the affected connected component
-// of the flow<->link sharing graph is flooded out from those seeds, and
+// Reallocation is incremental: a flow start/finish seeds a dirty set with
+// the links it traverses, the affected connected component of the
+// flow<->link sharing graph is flooded out from those seeds, and
 // progressive filling runs over that component only. Max-min fair shares
 // decompose exactly by connected component, so rates outside the
 // component cannot change; inside it they are recomputed bitwise
-// identically to a from-scratch recompute (the bottleneck scan visits the
-// component's links in ascending id order, the same (share, link-id)
-// order the full scan resolves ties by). A flow is settled — progress
-// credited, completion event rescheduled — only when its rate actually
-// changed, in both modes, so the two modes execute the very same
-// settle/schedule operation sequence and stay byte-identical
-// (tests/test_flow_incremental.cc is the differential proof harness; the
-// `flow-rates` audit checker cross-checks live rates against a
-// from-scratch recompute at every audit epoch).
+// identically to a from-scratch fill over the whole pool (the bottleneck
+// scan visits the component's links in ascending id order, the same
+// (share, link-id) order a whole-pool scan resolves ties by). A flow is
+// settled — progress credited, completion event rescheduled — only when
+// its rate actually changed. The from-scratch fill survives as the
+// oracle behind audit_rates_snapshot(): the `flow-rates` audit checker
+// compares it with the live rates at every audit epoch, and
+// tests/test_flow_incremental.cc after every operation.
 //
 // Latency is charged once per flow, up front: a flow spends
 // path_latency(src, dst) in a "connecting" phase during which it consumes
@@ -47,20 +45,10 @@ namespace wcs::net {
 
 using FlowCallback = std::function<void(FlowId)>;
 
-struct FlowManagerOptions {
-  // Rebalance only the affected connected component on flow churn
-  // (default). false = recompute every flow's share from scratch on every
-  // change — the reference mode behind the scenario CLI's --full-realloc,
-  // byte-identical by contract (mirrors --flat-index from the sharded
-  // pending-task index).
-  bool incremental = true;
-};
-
 class FlowManager {
  public:
-  FlowManager(sim::Simulator& simulator, const Topology& topology,
-              FlowManagerOptions options = {})
-      : sim_(simulator), topo_(topology), options_(options),
+  FlowManager(sim::Simulator& simulator, const Topology& topology)
+      : sim_(simulator), topo_(topology),
         flows_(FlowMapAlloc(&flow_arena_)),
         link_bytes_(topology.num_links(), 0),
         link_cap_(topology.num_links(), 0),
@@ -144,21 +132,15 @@ class FlowManager {
   void complete(FlowId id);
 
   // Recompute the max-min allocation after the flow set changed.
-  // `seed_links` are the links traversed by the added/removed flow; in
-  // incremental mode only the connected component reachable from them is
-  // rebalanced, in full mode the seeds are ignored and every pool flow
-  // is refilled. Either way, a flow is settled and its completion event
-  // rescheduled only if its rate changed.
+  // `seed_links` are the links traversed by the added/removed flow; only
+  // the connected component reachable from them is rebalanced, and a
+  // flow is settled and its completion event rescheduled only if its
+  // rate changed.
   void reallocate(const Route& seed_links);
 
-  // Gather the active bandwidth-sharing flows (active, not draining)
-  // into `realloc_order_`, sorted by flow id — the canonical iteration
-  // order for the whole pass.
-  void collect_pool();
-
-  // Flood the sharing graph out from `seeds` (or take the whole pool in
-  // full mode): fills component_ (id-sorted flows whose rate may change)
-  // and fill_links_ (ascending link ids they traverse).
+  // Flood the sharing graph out from `seeds`: fills component_ (id-sorted
+  // flows whose rate may change) and fill_links_ (ascending link ids they
+  // traverse).
   void build_component(const std::vector<LinkId>& seeds);
 
   // Progress credited since the flow's last settle at its current rate.
@@ -176,7 +158,6 @@ class FlowManager {
 
   sim::Simulator& sim_;
   const Topology& topo_;
-  FlowManagerOptions options_;
   common::NodeArena flow_arena_;  // declared before flows_ (dtor order)
   FlowMap flows_;
   std::uint64_t next_flow_ = 0;

@@ -25,11 +25,10 @@ struct CliOptions {
   RunOptions run;
   bool list = false;
   bool dump = false;
-  bool flat_index = false;    // --flat-index: reference decision path
-  bool full_realloc = false;  // --full-realloc: reference flow rebalancing
-  bool whole_file = false;    // --whole-file-cache: reference data plane
-  double block_size_mb = 0;   // --block-size: override, MB (0 = spec's)
-  std::string replication;    // --replication-policy: none|random|...
+  bool flat_index = false;   // --flat-index: reference decision path
+  bool whole_file = false;   // --whole-file-cache: reference data plane
+  double block_size_mb = 0;  // --block-size: override, MB (0 = spec's)
+  std::string replication;   // --replication-policy: none|random|...
   // Open-system workload-plane overrides (empty = leave the spec alone).
   std::string workload;  // --workload: generator name
   std::string tenants;   // --tenants: count or comma-separated weights
@@ -124,8 +123,6 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
       opt.run.trace_out = next();
     } else if (arg == "--flat-index") {
       opt.flat_index = true;
-    } else if (arg == "--full-realloc") {
-      opt.full_realloc = true;
     } else if (arg == "--whole-file-cache") {
       opt.whole_file = true;
     } else if (arg == "--block-size") {
@@ -144,8 +141,7 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
                    "--dump-scenario [NAME]\n         --tasks N --seeds K "
                    "--jobs N --csv PATH --fast --audit\n         --report "
                    "PATH --no-report --trace-out PATH --flat-index\n"
-                   "         --full-realloc --whole-file-cache "
-                   "--block-size MB\n"
+                   "         --whole-file-cache --block-size MB\n"
                    "         --replication-policy none|random|least-loaded|"
                    "hierarchical|network-cost\n"
                    "         --workload NAME --tenants N|W1,W2,... "
@@ -212,15 +208,6 @@ int scenario_main(const std::string& default_scenario, int argc,
     for (Point& pt : spec.points)
       for (sched::SchedulerSpec& s : pt.schedulers)
         s.options.use_sharded_index = false;
-  }
-
-  // --full-realloc: recompute every flow's max-min share from scratch on
-  // each flow start/finish instead of rebalancing only the dirty
-  // component. Totals are byte-identical either way; the escape hatch
-  // exists for A/B timing and for debugging the dirty-set logic itself.
-  if (opt.full_realloc) {
-    spec.base_config.flow.incremental = false;
-    for (Point& pt : spec.points) pt.config.flow.incremental = false;
   }
 
   // --whole-file-cache: the reference data plane — caches account whole

@@ -22,11 +22,6 @@
 //                     reference scans instead of the sharded pending-task
 //                     index (sched/sharded_index.h); totals are
 //                     byte-identical, only the wall-clock differs
-//   --full-realloc    recompute every flow's max-min share from scratch
-//                     on each flow start/finish instead of rebalancing
-//                     only the dirty component (net/flow_manager.h);
-//                     totals are byte-identical, only the wall-clock
-//                     differs
 //   --workload NAME   override the spec's workload generator (registry
 //                     names: coadd, uniform, zipf, partitioned, trace,
 //                     multi-tenant)

@@ -24,7 +24,7 @@ Job generate_coadd(const CoaddParams& p) {
   WCS_CHECK(p.num_rows > 0);
   WCS_CHECK(p.window_min > 0 && p.window_min <= p.window_max);
   WCS_CHECK(p.file_size > 0);
-  WCS_CHECK(p.mflop_per_file > 0);
+  WCS_CHECK(std::isfinite(p.mflop_per_file) && p.mflop_per_file > 0);
 
   Rng rng(p.seed);
   Job job;

@@ -1,6 +1,7 @@
 #include "workload/job.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 namespace wcs::workload {
@@ -38,7 +39,9 @@ void validate_job(const Job& job) {
   std::vector<FileId> sorted;
   for (const Task& t : job.tasks()) {
     WCS_CHECK_MSG(!t.files.empty(), "task " << t.id << " has no input files");
-    WCS_CHECK_MSG(t.mflop > 0, "task " << t.id << " has no compute cost");
+    WCS_CHECK_MSG(std::isfinite(t.mflop) && t.mflop > 0,
+                  "task " << t.id << " has no finite compute cost ("
+                          << t.mflop << " MFLOP)");
     sorted.assign(t.files.begin(), t.files.end());
     std::sort(sorted.begin(), sorted.end());
     for (std::size_t i = 0; i < sorted.size(); ++i) {

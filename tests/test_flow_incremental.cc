@@ -1,12 +1,20 @@
 // Differential proof harness for incremental max-min reallocation.
 //
-// The equivalence contract (net/flow_manager.h): incremental
-// dirty-component rebalancing and the full from-scratch recompute
-// (--full-realloc) are BYTE-IDENTICAL — same rates, same settle points,
-// same completion times, same event-id consumption. This suite drives a
-// mirrored pair of FlowManagers — one per mode, over the same topology —
-// through identical operation sequences and compares every observable
-// bitwise after every operation:
+// net::FlowManager rebalances only the dirty connected component of the
+// flow<->link sharing graph on each flow start, finish or cancel. Its
+// oracle is the from-scratch progressive fill behind
+// FlowManager::audit_rates_snapshot(): max-min shares decompose exactly
+// by connected component, so every live rate must equal the recompute
+// bitwise. This suite drives one FlowManager through operation sequences
+// and checks it against that oracle after every operation and every
+// executed event:
+//
+//   * audit::check_flow_rates on audit_rates_snapshot() — a flow the
+//     dirty set missed keeps a stale rate and fails here;
+//   * audit::check_flow_conservation on audit_snapshot() — per-link
+//     allocation within capacity, per-flow byte progress, delivery ledger.
+//
+// The workloads:
 //
 //   * randomized churn (7 seeds x 2 topology families): start / cancel /
 //     advance over partitioned multi-star platforms (many small
@@ -14,20 +22,26 @@
 //     big overlapping component — the flood-logic stress);
 //   * adversarial fixtures: a shared-bottleneck chain with a midstream
 //     cancel, a single-link star with simultaneous completions (event-id
-//     tie-breaking must agree), and zero-byte / same-node edge flows;
+//     tie-breaking), and zero-byte / same-node edge flows;
 //   * an eviction-churn grid stress: full GridSimulation runs with worker
 //     crashes, cache eviction pressure, and the invariant auditor on
-//     (including the `flow-rates` checker), incremental vs full.
+//     (including the `flow-rates` checker).
 //
-// "Bitwise" means bitwise: doubles are compared through their bit
-// patterns, not an epsilon.
+// End states are pinned as constants: completion logs (flow id plus the
+// bit pattern of the completion instant), executed-event counts and the
+// grid runs' totals. They were recorded while a full-pool recompute was
+// still a selectable mode and a mirrored harness proved it bit-identical
+// to the incremental path, so they pin the settle/reschedule sequence
+// that comparison used to check. Failures print the actual values in
+// copy-paste form.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
-#include <utility>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "audit/checkers.h"
@@ -48,104 +62,121 @@ std::uint64_t bits(double x) {
   return u;
 }
 
-#define EXPECT_SAME_BITS(a, b) \
-  EXPECT_EQ(bits(a), bits(b)) << #a " = " << (a) << " vs " #b " = " << (b)
+// One completion callback: flow id and the bit pattern of sim.now().
+struct Completion {
+  std::uint64_t id;
+  std::uint64_t at_bits;
+};
+using CompletionLog = std::vector<Completion>;
 
-// A mirrored FlowManager pair over one shared topology: every operation
-// is applied to both sides, every completion is logged per side, and
-// expect_equivalent() compares the full observable state bitwise.
-struct Mirror {
-  Topology topo;
-  sim::Simulator inc_sim;
-  sim::Simulator full_sim;
-  std::unique_ptr<FlowManager> inc;
-  std::unique_ptr<FlowManager> full;
-  std::vector<std::pair<std::uint64_t, double>> inc_done;
-  std::vector<std::pair<std::uint64_t, double>> full_done;
+std::string render(const CompletionLog& log) {
+  std::ostringstream os;
+  for (const Completion& c : log)
+    os << "{" << c.id << ", 0x" << std::hex << c.at_bits << std::dec << "}, ";
+  return os.str();
+}
 
-  void init() {
-    inc = std::make_unique<FlowManager>(inc_sim, topo,
-                                        FlowManagerOptions{.incremental = true});
-    full = std::make_unique<FlowManager>(
-        full_sim, topo, FlowManagerOptions{.incremental = false});
+// FNV-1a over the log, for the churn runs whose logs are too long to
+// spell out.
+std::uint64_t digest(const CompletionLog& log) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const Completion& c : log) {
+    mix(c.id);
+    mix(c.at_bits);
   }
+  return h;
+}
+
+// One FlowManager over one topology. Every executed event is followed by
+// an oracle check; completions are logged in callback order.
+struct Harness {
+  Topology topo;
+  sim::Simulator sim;
+  std::unique_ptr<FlowManager> flows;
+  CompletionLog done;
+
+  // Call once the topology is complete: the manager sizes its per-link
+  // tables at construction.
+  void init() { flows = std::make_unique<FlowManager>(sim, topo); }
 
   FlowId start(NodeId src, NodeId dst, Bytes bytes) {
-    FlowId a = inc->start_flow(src, dst, bytes, [this](FlowId id) {
-      inc_done.emplace_back(id.value(), inc_sim.now());
+    return flows->start_flow(src, dst, bytes, [this](FlowId id) {
+      done.push_back({id.value(), bits(sim.now())});
     });
-    FlowId b = full->start_flow(src, dst, bytes, [this](FlowId id) {
-      full_done.emplace_back(id.value(), full_sim.now());
-    });
-    EXPECT_EQ(a.value(), b.value());
-    return a;
   }
 
-  void cancel(FlowId id) {
-    EXPECT_EQ(inc->cancel(id), full->cancel(id));
-  }
-
-  // Advance both sides by one event. The contract implies identical
-  // event streams, so single-stepping keeps the pair in lockstep.
   bool step() {
-    const bool a = inc_sim.step();
-    const bool b = full_sim.step();
-    EXPECT_EQ(a, b);
-    EXPECT_SAME_BITS(inc_sim.now(), full_sim.now());
-    return a && b;
+    const bool ran = sim.step();
+    expect_oracle("after event");
+    return ran;
   }
 
   void run_all() {
     while (step()) {
     }
-    ASSERT_EQ(inc_done.size(), full_done.size());
-    for (std::size_t i = 0; i < inc_done.size(); ++i) {
-      EXPECT_EQ(inc_done[i].first, full_done[i].first) << "completion " << i;
-      EXPECT_SAME_BITS(inc_done[i].second, full_done[i].second);
-    }
   }
 
-  void expect_equivalent(const char* context) {
+  void expect_oracle(const char* context) {
     SCOPED_TRACE(context);
-    EXPECT_EQ(inc_sim.executed_events(), full_sim.executed_events());
-    EXPECT_EQ(inc->active_flows(), full->active_flows());
-    EXPECT_EQ(inc->completed_flows(), full->completed_flows());
-    EXPECT_EQ(inc->cancelled_flows(), full->cancelled_flows());
-    EXPECT_SAME_BITS(inc->bytes_started(), full->bytes_started());
-    EXPECT_SAME_BITS(inc->bytes_delivered(), full->bytes_delivered());
-
-    const audit::FlowAuditSnapshot a = inc->audit_snapshot();
-    const audit::FlowAuditSnapshot b = full->audit_snapshot();
-    ASSERT_EQ(a.flows.size(), b.flows.size());
-    for (std::size_t i = 0; i < a.flows.size(); ++i) {
-      SCOPED_TRACE("flow " + std::to_string(a.flows[i].id));
-      EXPECT_EQ(a.flows[i].id, b.flows[i].id);
-      EXPECT_EQ(a.flows[i].active, b.flows[i].active);
-      EXPECT_SAME_BITS(a.flows[i].total_bytes, b.flows[i].total_bytes);
-      EXPECT_SAME_BITS(a.flows[i].remaining_bytes, b.flows[i].remaining_bytes);
-      EXPECT_SAME_BITS(a.flows[i].rate_bps, b.flows[i].rate_bps);
-    }
-    ASSERT_EQ(a.links.size(), b.links.size());
-    for (std::size_t i = 0; i < a.links.size(); ++i) {
-      SCOPED_TRACE("link " + std::to_string(i));
-      EXPECT_EQ(a.links[i].flows, b.links[i].flows);
-      EXPECT_SAME_BITS(a.links[i].allocated_bps, b.links[i].allocated_bps);
-      EXPECT_SAME_BITS(
-          inc->link_bytes(LinkId(static_cast<LinkId::underlying_type>(i))),
-          full->link_bytes(LinkId(static_cast<LinkId::underlying_type>(i))));
-    }
-
-    // The induction invariant on the incremental side: every live rate
-    // equals what a from-scratch fill would produce, bitwise. This is
-    // exactly what the `flow-rates` audit checker enforces in-sim.
     std::vector<audit::Violation> violations;
-    audit::check_flow_rates(inc->audit_rates_snapshot(), violations);
+    audit::check_flow_rates(flows->audit_rates_snapshot(), violations);
+    audit::check_flow_conservation(flows->audit_snapshot(), violations);
     EXPECT_TRUE(violations.empty())
+        << "t=" << sim.now() << ": " << violations.size()
+        << " violation(s), first: "
         << (violations.empty() ? "" : violations.front().message);
   }
 };
 
-// --- Randomized churn, partitioned multi-star -----------------------------
+// --- Randomized churn -----------------------------------------------------
+
+// End state of one churn run.
+struct ChurnRecord {
+  std::uint64_t events;
+  std::uint64_t completed;
+  std::uint64_t cancelled;
+  std::uint64_t log_digest;
+};
+
+std::string render(const ChurnRecord& r) {
+  std::ostringstream os;
+  os << "{" << r.events << "u, " << r.completed << "u, " << r.cancelled
+     << "u, 0x" << std::hex << r.log_digest << "ull}";
+  return os.str();
+}
+
+void expect_churn_record(const Harness& h, const ChurnRecord& expected) {
+  const ChurnRecord actual{h.sim.executed_events(), h.flows->completed_flows(),
+                           h.flows->cancelled_flows(), digest(h.done)};
+  EXPECT_EQ(render(actual), render(expected));
+  EXPECT_EQ(h.flows->active_flows(), 0u);
+}
+
+// Indexed by seed - 1.
+constexpr ChurnRecord kMultiStarRecords[] = {
+    {45u, 21u, 12u, 0xb4b33bb57b777666ull},
+    {46u, 24u, 4u, 0xe382aef64df1018eull},
+    {49u, 25u, 8u, 0xead6e281b73a1173ull},
+    {48u, 25u, 6u, 0x75cc17e73cea5dc2ull},
+    {61u, 30u, 8u, 0xb143617a2734a988ull},
+    {61u, 30u, 7u, 0x765227fb16a44c43ull},
+    {51u, 25u, 3u, 0xa477c729bedb5b10ull},
+};
+constexpr ChurnRecord kSharedChainRecords[] = {
+    {36u, 17u, 5u, 0xd5c2e309677d9cb5ull},
+    {49u, 22u, 5u, 0x5ce298e866392d4eull},
+    {38u, 17u, 7u, 0x71730fff197e0a2cull},
+    {44u, 19u, 7u, 0xe4825dfcda35ceb2ull},
+    {54u, 24u, 6u, 0xa639e5731a3f541eull},
+    {42u, 20u, 3u, 0x4c4b93b1ff6adacdull},
+    {44u, 20u, 6u, 0xeaf9a8305dda3daeull},
+};
 
 class FlowDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -154,24 +185,24 @@ TEST_P(FlowDifferential, RandomChurnOnMultiStarStaysBitIdentical) {
   // sharing graph always has several connected components and the
   // incremental path genuinely rebalances a strict subset of the pool.
   Rng rng(GetParam());
-  Mirror m;
+  Harness h;
   const int kHubs = 4, kLeaves = 4;
   std::vector<std::vector<NodeId>> leaves(kHubs);
-  for (int h = 0; h < kHubs; ++h) {
-    NodeId hub = m.topo.add_node("hub");
+  for (int hub_i = 0; hub_i < kHubs; ++hub_i) {
+    NodeId hub = h.topo.add_node("hub");
     for (int l = 0; l < kLeaves; ++l) {
-      leaves[h].push_back(m.topo.add_node("leaf"));
-      m.topo.add_link(hub, leaves[h].back(), rng.uniform_real(1e5, 1e7),
+      leaves[hub_i].push_back(h.topo.add_node("leaf"));
+      h.topo.add_link(hub, leaves[hub_i].back(), rng.uniform_real(1e5, 1e7),
                       rng.uniform_real(0.0, 0.01));
     }
   }
-  m.init();
+  h.init();
 
   std::vector<FlowId> live;
   for (int op = 0; op < 80; ++op) {
     const std::size_t kind = rng.index(5);
     if (kind <= 1 || live.empty()) {
-      const std::size_t h = rng.index(kHubs);
+      const std::size_t hub_i = rng.index(kHubs);
       const std::size_t s = rng.index(kLeaves);
       std::size_t d = rng.index(kLeaves);
       // ~1 in 10 flows is a same-node transfer; ~1 in 10 is zero-byte.
@@ -181,20 +212,20 @@ TEST_P(FlowDifferential, RandomChurnOnMultiStarStaysBitIdentical) {
           rng.index(10) == 0
               ? 0u
               : static_cast<Bytes>(rng.uniform_int(1'000, 50'000'000));
-      live.push_back(m.start(leaves[h][s], leaves[h][d], bytes));
+      live.push_back(h.start(leaves[hub_i][s], leaves[hub_i][d], bytes));
     } else if (kind == 2) {
       const std::size_t victim = rng.index(live.size());
-      m.cancel(live[victim]);
+      h.flows->cancel(live[victim]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     } else {
       const std::size_t steps = 1 + rng.index(3);
       for (std::size_t i = 0; i < steps; ++i)
-        if (!m.step()) break;
+        if (!h.step()) break;
     }
-    m.expect_equivalent("after op");
+    h.expect_oracle("after op");
   }
-  m.run_all();
-  m.expect_equivalent("after drain");
+  h.run_all();
+  expect_churn_record(h, kMultiStarRecords[GetParam() - 1]);
 }
 
 TEST_P(FlowDifferential, RandomChurnOnSharedChainStaysBitIdentical) {
@@ -202,15 +233,15 @@ TEST_P(FlowDifferential, RandomChurnOnSharedChainStaysBitIdentical) {
   // overlapping segments, so most of the pool collapses into a single
   // shared component and the dirty-set flood has to do real work.
   Rng rng(GetParam());
-  Mirror m;
+  Harness h;
   const int kNodes = 8;
   std::vector<NodeId> nodes;
-  for (int i = 0; i < kNodes; ++i) nodes.push_back(m.topo.add_node("n"));
+  for (int i = 0; i < kNodes; ++i) nodes.push_back(h.topo.add_node("n"));
   for (int i = 0; i + 1 < kNodes; ++i) {
     const double cap = i == kNodes / 2 ? 2e5 : rng.uniform_real(1e6, 1e7);
-    m.topo.add_link(nodes[i], nodes[i + 1], cap, 0.0);
+    h.topo.add_link(nodes[i], nodes[i + 1], cap, 0.0);
   }
-  m.init();
+  h.init();
 
   std::vector<FlowId> live;
   for (int op = 0; op < 60; ++op) {
@@ -219,22 +250,22 @@ TEST_P(FlowDifferential, RandomChurnOnSharedChainStaysBitIdentical) {
       const std::size_t s = rng.index(kNodes);
       std::size_t d = rng.index(kNodes);
       while (d == s) d = rng.index(kNodes);
-      live.push_back(m.start(
+      live.push_back(h.start(
           nodes[s], nodes[d],
           static_cast<Bytes>(rng.uniform_int(10'000, 20'000'000))));
     } else if (kind == 2) {
       const std::size_t victim = rng.index(live.size());
-      m.cancel(live[victim]);
+      h.flows->cancel(live[victim]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     } else {
       const std::size_t steps = 1 + rng.index(3);
       for (std::size_t i = 0; i < steps; ++i)
-        if (!m.step()) break;
+        if (!h.step()) break;
     }
-    m.expect_equivalent("after op");
+    h.expect_oracle("after op");
   }
-  m.run_all();
-  m.expect_equivalent("after drain");
+  h.run_all();
+  expect_churn_record(h, kSharedChainRecords[GetParam() - 1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowDifferential,
@@ -245,101 +276,144 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FlowDifferential,
 TEST(FlowDifferentialFixtures, SharedBottleneckChainWithMidstreamCancel) {
   // a --10MB/s-- b --1MB/s-- c --10MB/s-- d; four overlapping flows all
   // contend on the thin b-c link. Cancelling the b->c flow midstream
-  // re-seeds the component from the released route; rates, settle points
-  // and completions must track the full recompute bitwise.
-  Mirror m;
-  NodeId a = m.topo.add_node("a");
-  NodeId b = m.topo.add_node("b");
-  NodeId c = m.topo.add_node("c");
-  NodeId d = m.topo.add_node("d");
-  m.topo.add_link(a, b, 1e7, 0.0);
-  m.topo.add_link(b, c, 1e6, 0.0);
-  m.topo.add_link(c, d, 1e7, 0.0);
-  m.init();
+  // re-seeds the component from the released route; rates must track the
+  // from-scratch recompute and completions the recorded instants.
+  Harness h;
+  NodeId a = h.topo.add_node("a");
+  NodeId b = h.topo.add_node("b");
+  NodeId c = h.topo.add_node("c");
+  NodeId d = h.topo.add_node("d");
+  h.topo.add_link(a, b, 1e7, 0.0);
+  h.topo.add_link(b, c, 1e6, 0.0);
+  h.topo.add_link(c, d, 1e7, 0.0);
+  h.init();
 
-  m.start(a, d, 8'000'000);
-  FlowId victim = m.start(b, c, 6'000'000);
-  m.start(c, d, 4'000'000);
-  m.start(a, b, 2'000'000);
-  // Consume the four t=0 activations, then let some progress accrue.
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(m.step());
-  m.expect_equivalent("after activations");
-  m.cancel(victim);
-  m.expect_equivalent("after cancel");
-  m.run_all();
-  m.expect_equivalent("after drain");
+  h.start(a, d, 8'000'000);
+  FlowId victim = h.start(b, c, 6'000'000);
+  h.start(c, d, 4'000'000);
+  h.start(a, b, 2'000'000);
+  // Consume the four t=0 activations, so the cancel hits a live flow.
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(h.step());
+  ASSERT_TRUE(h.flows->cancel(victim));
+  h.expect_oracle("after cancel");
+  h.run_all();
+  EXPECT_EQ(render(h.done), render(CompletionLog{
+                                {3, 0x3fcc71c71c71c71c},
+                                {2, 0x3fdc71c71c71c71c},
+                                {0, 0x4020000000000000},
+                            }));
+  EXPECT_EQ(h.sim.executed_events(), 7u);
 }
 
 TEST(FlowDifferentialFixtures, SingleLinkStarSimultaneousCompletions) {
   // Four identical flows on one link finish at the same instant: the
-  // event kernel breaks the tie by event id, so identical completion
-  // ORDER across modes requires identical event-id consumption — the
-  // strictest consequence of the settle-only-on-rate-change discipline.
-  Mirror m;
-  NodeId a = m.topo.add_node("a");
-  NodeId b = m.topo.add_node("b");
-  NodeId e = m.topo.add_node("e");
-  NodeId f = m.topo.add_node("f");
-  m.topo.add_link(a, b, 1e6, 0.0);
-  m.topo.add_link(e, f, 2e6, 0.0);
-  m.init();
+  // event kernel breaks the tie by event id, so the completion ORDER
+  // pins event-id consumption — the strictest consequence of the
+  // settle-only-on-rate-change discipline.
+  Harness h;
+  NodeId a = h.topo.add_node("a");
+  NodeId b = h.topo.add_node("b");
+  NodeId e = h.topo.add_node("e");
+  NodeId f = h.topo.add_node("f");
+  h.topo.add_link(a, b, 1e6, 0.0);
+  h.topo.add_link(e, f, 2e6, 0.0);
+  h.init();
 
-  for (int i = 0; i < 4; ++i) m.start(a, b, 1'000'000);
-  m.run_all();
-  m.expect_equivalent("after batch");
-  ASSERT_EQ(m.inc_done.size(), 4u);
+  for (int i = 0; i < 4; ++i) h.start(a, b, 1'000'000);
+  h.run_all();
+  ASSERT_EQ(h.done.size(), 4u);
   // All four completed at the same simulated instant, in id order.
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(m.inc_done[i].first, i);
-    EXPECT_SAME_BITS(m.inc_done[i].second, m.inc_done[0].second);
+    EXPECT_EQ(h.done[i].id, i);
+    EXPECT_EQ(h.done[i].at_bits, h.done[0].at_bits);
   }
 
   // Second wave: a disjoint-link flow sized to finish simultaneously
   // with a shared-link pair (same double instant, different links).
-  m.start(a, b, 1'000'000);
-  m.start(a, b, 1'000'000);  // shared: each at 0.5 MB/s -> t = +2
-  m.start(e, f, 4'000'000);  // alone at 2 MB/s -> t = +2
-  m.run_all();
-  m.expect_equivalent("after second wave");
+  h.start(a, b, 1'000'000);
+  h.start(a, b, 1'000'000);  // shared: each at 0.5 MB/s -> t = +2
+  h.start(e, f, 4'000'000);  // alone at 2 MB/s -> t = +2
+  h.run_all();
+  // t = 4 for the first wave, t = 6 for the second. Flow 4's completion
+  // re-rates flow 5, whose rescheduled completion event then runs after
+  // flow 6's.
+  EXPECT_EQ(render(h.done), render(CompletionLog{
+                                {0, 0x4010000000000000},
+                                {1, 0x4010000000000000},
+                                {2, 0x4010000000000000},
+                                {3, 0x4010000000000000},
+                                {4, 0x4018000000000000},
+                                {6, 0x4018000000000000},
+                                {5, 0x4018000000000000},
+                            }));
+  EXPECT_EQ(h.sim.executed_events(), 14u);
 }
 
 // --- Grid-level eviction-churn stress under the auditor -------------------
 
+struct GridRecord {
+  const char* scheduler;
+  double makespan_s;
+  std::uint64_t tasks_completed;
+  std::uint64_t events_executed;
+  std::uint64_t file_transfers;
+  double bytes_transferred;
+};
+
+// %.17g round-trips a double, so equal renderings mean equal bits.
+std::string render(const GridRecord& r) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "{\"%s\", %.17g, %lluu, %lluu, %lluu, %.17g}",
+                r.scheduler, r.makespan_s,
+                static_cast<unsigned long long>(r.tasks_completed),
+                static_cast<unsigned long long>(r.events_executed),
+                static_cast<unsigned long long>(r.file_transfers),
+                r.bytes_transferred);
+  return buf;
+}
+
+constexpr GridRecord kEvictionChurnRecords[] = {
+    {"storage-affinity", 144064.96305575932, 200u, 10488u, 4355u, 108875000000},
+    {"overlap", 80406.321574844857, 200u, 5480u, 2331u, 58275000000},
+    {"rest", 84145.388235585895, 200u, 5834u, 2504u, 62600000000},
+    {"combined", 89136.384536431637, 200u, 5882u, 2524u, 63100000000},
+    {"rest.2", 84448.846331505396, 200u, 5834u, 2502u, 62550000000},
+    {"combined.2", 84284.78342061727, 200u, 5652u, 2417u, 60425000000},
+};
+
 TEST(FlowDifferentialGrid, EvictionChurnRunsBitIdenticalUnderAudit) {
-  // Full GridSimulation differential: small caches force eviction, worker
-  // crashes force batch cancellation (flows aborted midstream), and the
-  // invariant auditor sweeps every 500 events — including the
-  // `flow-rates` checker, which recomputes every live rate from scratch
-  // and demands bitwise equality with the incremental allocation. The
-  // run totals of both modes must agree exactly, scheduler by scheduler.
+  // Full GridSimulation runs: small caches force eviction, worker crashes
+  // force batch cancellation (flows aborted midstream), and the invariant
+  // auditor sweeps every 500 events — including the `flow-rates` checker,
+  // which recomputes every live rate from scratch and throws on any
+  // bitwise difference. Each scheduler's totals must match the record.
   workload::CoaddParams cp;
   cp.num_tasks = 200;
   cp.seed = 9;
   auto job = workload::generate_coadd(cp);
 
-  grid::GridConfig base;
-  base.tiers.num_sites = 3;
-  base.tiers.workers_per_site = 4;
-  base.capacity_files = 2500;  // tight: sustained eviction pressure
-  base.churn = grid::GridConfig::ChurnParams{
+  grid::GridConfig c;
+  c.tiers.num_sites = 3;
+  c.tiers.workers_per_site = 4;
+  c.capacity_files = 2500;  // tight: sustained eviction pressure
+  c.churn = grid::GridConfig::ChurnParams{
       .mean_uptime_s = 20000.0, .mean_downtime_s = 2000.0, .seed = 17};
-  base.audit = true;
-  base.audit_interval_events = 500;
+  c.audit = true;
+  c.audit_interval_events = 500;
 
-  for (const auto& spec : sched::SchedulerSpec::paper_algorithms()) {
-    SCOPED_TRACE(spec.name());
-    grid::GridConfig c = base;
-    c.flow.incremental = true;
-    const auto inc = grid::run_once(c, job, spec, /*seed=*/5);
-    c.flow.incremental = false;
-    const auto full = grid::run_once(c, job, spec, /*seed=*/5);
-
-    EXPECT_SAME_BITS(inc.makespan_s, full.makespan_s);
-    EXPECT_EQ(inc.tasks_completed, full.tasks_completed);
-    EXPECT_EQ(inc.events_executed, full.events_executed);
-    EXPECT_EQ(inc.total_file_transfers(), full.total_file_transfers());
-    EXPECT_SAME_BITS(inc.total_bytes_transferred(),
-                     full.total_bytes_transferred());
+  const auto specs = sched::SchedulerSpec::paper_algorithms();
+  ASSERT_EQ(specs.size(), std::size(kEvictionChurnRecords));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::string name = specs[i].name();
+    SCOPED_TRACE(name);
+    const auto r = grid::run_once(c, job, specs[i], /*seed=*/5);
+    const GridRecord actual{name.c_str(),
+                            r.makespan_s,
+                            r.tasks_completed,
+                            r.events_executed,
+                            r.total_file_transfers(),
+                            r.total_bytes_transferred()};
+    EXPECT_EQ(render(actual), render(kEvictionChurnRecords[i]));
   }
 }
 

@@ -33,8 +33,7 @@ constexpr Golden kGolden[] = {
     {"combined.2", 175261.69922984971, 7764u, 194100000000},
 };
 
-metrics::RunResult run_golden_scenario(const sched::SchedulerSpec& spec,
-                                       bool incremental_realloc = true) {
+metrics::RunResult run_golden_scenario(const sched::SchedulerSpec& spec) {
   workload::CoaddParams cp;
   cp.num_tasks = 500;
   cp.seed = 20260805;
@@ -44,7 +43,6 @@ metrics::RunResult run_golden_scenario(const sched::SchedulerSpec& spec,
   c.tiers.num_sites = 5;
   c.tiers.workers_per_site = 5;
   c.capacity_files = 3000;  // tight enough to exercise eviction
-  c.flow.incremental = incremental_realloc;
   return run_once(c, job, spec, /*seed=*/7);
 }
 
@@ -85,29 +83,12 @@ TEST(GoldenRun, FlatIndexReproducesGoldensExactly) {
   }
 }
 
-TEST(GoldenRun, FullReallocReproducesGoldensExactly) {
-  // Incremental dirty-component reallocation (the default) and the full
-  // from-scratch recompute must produce IDENTICAL fluid dynamics: same
-  // goldens, byte for byte, for all six schedulers. This is the
-  // acceptance gate for FlowManagerOptions::incremental (CLI:
-  // --full-realloc), matching the flat-index golden gate.
-  auto specs = sched::SchedulerSpec::paper_algorithms();
-  ASSERT_EQ(specs.size(), std::size(kGolden));
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto r = run_golden_scenario(specs[i], /*incremental_realloc=*/false);
-    SCOPED_TRACE(specs[i].name() + " (full realloc)");
-    EXPECT_EQ(r.makespan_s, kGolden[i].makespan_s);
-    EXPECT_EQ(r.total_file_transfers(), kGolden[i].file_transfers);
-    EXPECT_EQ(r.total_bytes_transferred(), kGolden[i].bytes_transferred);
-  }
-}
-
 TEST(GoldenRun, WholeFileCacheReproducesGoldensExactly) {
   // Block-granular accounting (the default, content overlap 0) and the
   // whole-file reference cache must make IDENTICAL decisions: same
   // goldens, byte for byte, for all six schedulers. This is the
   // acceptance gate for GridConfig::block_store (CLI:
-  // --whole-file-cache), matching the flat-index golden gate.
+  // --whole-file-cache).
   workload::CoaddParams cp;
   cp.num_tasks = 500;
   cp.seed = 20260805;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <string>
 #include <unordered_set>
 
 #include "workload/coadd.h"
@@ -60,6 +62,13 @@ TEST(ValidateJob, RejectsZeroComputeCost) {
   Job job;
   job.catalog = FileCatalog(1, 1);
   job.add_task({FileId(0)}, 0.0);
+  EXPECT_THROW(validate_job(job), std::logic_error);
+}
+
+TEST(ValidateJob, RejectsInfiniteComputeCost) {
+  Job job;
+  job.catalog = FileCatalog(1, 1);
+  job.add_task({FileId(0)}, INFINITY);
   EXPECT_THROW(validate_job(job), std::logic_error);
 }
 
@@ -217,6 +226,14 @@ TEST(Coadd, ScalesToOtherTaskCounts) {
   // Auto target: ~8.9 distinct files per task (looser at small scale:
   // per-row rounding and pass offsets weigh more).
   EXPECT_NEAR(static_cast<double>(s.distinct_files), 8900.0, 8900.0 * 0.10);
+}
+
+TEST(Coadd, RejectsInfiniteComputeCost) {
+  // An INI `mflop_per_file = inf` parses (std::stod accepts "inf").
+  CoaddParams p;
+  p.num_tasks = 10;
+  p.mflop_per_file = std::stod("inf");
+  EXPECT_THROW(generate_coadd(p), std::logic_error);
 }
 
 TEST(Coadd, ValidatedOutput) {
