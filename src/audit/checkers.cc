@@ -173,22 +173,6 @@ void check_index_coherence(const IndexTotalsSnapshot& snap,
   }
 }
 
-void check_sharded_index(const ShardedIndexSnapshot& snap,
-                         std::vector<Violation>& out) {
-  if (snap.indexed != snap.expected) {
-    std::ostringstream os;
-    os << snap.label << " holds " << snap.indexed
-       << " entries but the brute-force rescan finds " << snap.expected
-       << " schedulable tasks";
-    report(out, "sharded-index", os);
-  }
-  for (const std::string& defect : snap.defects) {
-    std::ostringstream os;
-    os << snap.label << ": " << defect;
-    report(out, "sharded-index", os);
-  }
-}
-
 void check_task_lifecycle(const TaskLifecycleSnapshot& snap,
                           std::vector<Violation>& out) {
   if (snap.completions.size() != snap.num_tasks) {

@@ -125,22 +125,6 @@ struct IndexTotalsSnapshot {
 void check_index_coherence(const IndexTotalsSnapshot& snap,
                            std::vector<Violation>& out);
 
-// Sharded pending-task index (sched/sharded_index.h) vs a brute-force
-// rescan. The owning scheduler produces the snapshot: `indexed`/`expected`
-// are the entry count and the schedulable-set size it recomputed, and
-// `defects` are per-entry mismatches (missing task, wrong key/rank,
-// structural damage) it found while comparing bucket state against the
-// live cache. The checker turns each into a violation.
-struct ShardedIndexSnapshot {
-  std::string label;  // e.g. "site 3 shard"
-  std::size_t indexed = 0;   // entries across every bucket
-  std::size_t expected = 0;  // brute-force schedulable-set size
-  std::vector<std::string> defects;
-};
-
-void check_sharded_index(const ShardedIndexSnapshot& snap,
-                         std::vector<Violation>& out);
-
 // --- (c) task lifecycle -------------------------------------------------
 
 struct TaskLifecycleSnapshot {

@@ -179,17 +179,16 @@ void ControlPlane::assign_task(TaskId task, WorkerId worker) {
   });
 }
 
-// Cache-change notification ordering (the contract the schedulers'
-// incremental indexes — overlap/ref-sum counters, cached-byte counters,
-// and the sharded pending-task index — are built on): request_batch is
-// the only path that mutates a site cache, and every resulting
-// CacheEvent (kAdded on insert, kEvicted on a capacity eviction,
-// kAccessed on the reference-count bump) fires SYNCHRONOUSLY inside the
-// data-plane mutation, within this same simulation event. A scheduler
-// decision only ever runs from a LATER event (on_worker_idle after the
-// request latency, on_task_completed after the compute timer), so by the
-// time ChooseTask walks its index every prior cache mutation has already
-// been folded in. The --audit sweeps re-verify that coherence against a
+// Cache-change notification ordering (the contract the worker-centric
+// scheduler's incremental overlap/ref-sum counters are built on):
+// request_batch is the only path that mutates a site cache, and every
+// resulting CacheEvent (kAdded on insert, kEvicted on a capacity
+// eviction, kAccessed on the reference-count bump) fires SYNCHRONOUSLY
+// inside the data-plane mutation, within this same simulation event. A
+// scheduler decision only ever runs from a LATER event (on_worker_idle
+// after the request latency, on_task_completed after the compute timer),
+// so by the time ChooseTask reads its counters every prior cache
+// mutation has already been folded in. The --audit sweeps re-verify that coherence against a
 // brute-force rescan between events.
 void ControlPlane::start_next(WorkerId worker) {
   WorkerRuntime& rt = workers_[worker.value()];

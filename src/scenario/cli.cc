@@ -25,7 +25,6 @@ struct CliOptions {
   RunOptions run;
   bool list = false;
   bool dump = false;
-  bool flat_index = false;   // --flat-index: reference decision path
   bool whole_file = false;   // --whole-file-cache: reference data plane
   double block_size_mb = 0;  // --block-size: override, MB (0 = spec's)
   std::string replication;   // --replication-policy: none|random|...
@@ -121,8 +120,6 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
       no_report = true;
     } else if (arg == "--trace-out") {
       opt.run.trace_out = next();
-    } else if (arg == "--flat-index") {
-      opt.flat_index = true;
     } else if (arg == "--whole-file-cache") {
       opt.whole_file = true;
     } else if (arg == "--block-size") {
@@ -140,7 +137,7 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
       std::cout << "options: --scenario NAME --list-scenarios "
                    "--dump-scenario [NAME]\n         --tasks N --seeds K "
                    "--jobs N --csv PATH --fast --audit\n         --report "
-                   "PATH --no-report --trace-out PATH --flat-index\n"
+                   "PATH --no-report --trace-out PATH\n"
                    "         --whole-file-cache --block-size MB\n"
                    "         --replication-policy none|random|least-loaded|"
                    "hierarchical|network-cost\n"
@@ -197,18 +194,6 @@ int scenario_main(const std::string& default_scenario, int argc,
   build.tasks = opt.tasks;
   build.fast = opt.fast;
   ScenarioSpec spec = build_scenario(opt.scenario, build);
-
-  // --flat-index: run every scheduler on the flat reference decision
-  // path instead of the sharded pending-task index. Totals are
-  // byte-identical either way; the escape hatch exists for A/B timing
-  // and for debugging the index itself.
-  if (opt.flat_index) {
-    for (sched::SchedulerSpec& s : spec.schedulers)
-      s.options.use_sharded_index = false;
-    for (Point& pt : spec.points)
-      for (sched::SchedulerSpec& s : pt.schedulers)
-        s.options.use_sharded_index = false;
-  }
 
   // --whole-file-cache: the reference data plane — caches account whole
   // files, no block sharing. Byte-identical to block mode at content

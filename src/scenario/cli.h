@@ -18,10 +18,6 @@
 //                     results/<bench>.json; --no-report disables)
 //   --trace-out P     additionally run one representative simulation with
 //                     full observability and dump its Chrome trace to P
-//   --flat-index      resolve scheduling decisions with the flat O(T)
-//                     reference scans instead of the sharded pending-task
-//                     index (sched/sharded_index.h); totals are
-//                     byte-identical, only the wall-clock differs
 //   --workload NAME   override the spec's workload generator (registry
 //                     names: coadd, uniform, zipf, partitioned, trace,
 //                     multi-tenant)

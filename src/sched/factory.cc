@@ -61,7 +61,6 @@ std::unique_ptr<Scheduler> make_scheduler(const SchedulerSpec& spec) {
       StorageAffinityParams p;
       p.max_replicas = spec.max_replicas;
       p.imbalance_factor = spec.imbalance_factor;
-      p.options = spec.options;
       return std::make_unique<StorageAffinityScheduler>(p);
     }
     case Algorithm::kOverlap:
@@ -76,7 +75,6 @@ std::unique_ptr<Scheduler> make_scheduler(const SchedulerSpec& spec) {
       p.seed = spec.seed;
       p.replicate_when_idle = spec.task_replication;
       p.max_replicas = spec.max_replicas;
-      p.options = spec.options;
       return std::make_unique<WorkerCentricScheduler>(p);
     }
   }

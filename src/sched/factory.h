@@ -4,9 +4,7 @@
 // the paper's Sec. 5.3 (or an ablation variant); the experiment runner
 // and benches construct schedulers from specs so a whole experiment is a
 // plain data structure. Algorithm fields select WHAT is scheduled and
-// show up in name(); the `options` field carries implementation toggles
-// (sharded vs flat decision path) that never change a decision and never
-// change the name.
+// show up in name().
 #pragma once
 
 #include <cstdint>
@@ -40,15 +38,8 @@ struct SchedulerSpec {
   bool task_replication = false;   // worker-centric: replicate when idle
   std::uint64_t seed = 7;          // randomized ChooseTask only
 
-  // Implementation toggles, forwarded into every scheduler's params.
-  // options.use_sharded_index = false restores the flat reference scans
-  // (scenario CLI: --flat-index); run totals are byte-identical either
-  // way (enforced by the golden-run suite).
-  SchedulerOptions options;
-
   // Human-readable algorithm name as used in the paper's figures and in
   // every report/CSV row (e.g. "rest.2", "combined~verbatim+repl").
-  // Depends only on algorithm fields, never on `options`.
   [[nodiscard]] std::string name() const;
 
   // The six algorithms of the paper's evaluation, in its order:

@@ -34,20 +34,6 @@
 
 namespace wcs::sched {
 
-// Cross-cutting implementation toggles, threaded from SchedulerSpec
-// (factory.h) into every scheduler's params struct. These change HOW a
-// decision is computed, never WHICH task is chosen: every toggle keeps
-// the scheduler's observable behaviour byte-identical.
-struct SchedulerOptions {
-  // Resolve ChooseTask(n) / replica selection from the sharded
-  // pending-task index (sharded_index.h): O(log B + n) per request
-  // instead of the flat O(|pending|) scan, with identical task choices.
-  // Default on; the flat scan stays available as the reference
-  // implementation (`--flat-index` in the scenario CLI) and the auditor
-  // cross-validates the index against it under --audit.
-  bool use_sharded_index = true;
-};
-
 // The engine surface a scheduler is allowed to touch.
 class GridEngine {
  public:
@@ -63,9 +49,7 @@ class GridEngine {
   // Register interest in one site's cache mutations (at most one
   // listener per site — exactly one scheduler drives a run, and it owns
   // the slot). The worker-centric scheduler subscribes for its
-  // incremental overlap/ref-sum counters, storage affinity for its
-  // incremental byte-overlap index; both re-key their sharded
-  // pending-task index from the same events. Notifications fire
+  // incremental overlap/ref-sum counters. Notifications fire
   // synchronously inside the cache mutation, i.e. strictly before the
   // next scheduling decision (see grid/control_plane.cc for the event
   // ordering this guarantees).

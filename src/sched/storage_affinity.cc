@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <sstream>
 #include <unordered_set>
 
 namespace wcs::sched {
@@ -20,86 +19,7 @@ void StorageAffinityScheduler::on_job_submitted() {
   placements_.assign(num_tasks, {});
   completed_.assign(num_tasks, 0);
   worker_load_.assign(engine().num_workers(), 0);
-  orphans_.reset(num_tasks);
-  // Subscribe to cache notifications BEFORE any assignment so no
-  // mutation can slip past the incremental byte counters.
-  if (sharded()) build_affinity_index();
   distribute_all();
-  // Seed replica-index membership now that every task holds exactly one
-  // instance (distribute_all places all of them; no cache events fire
-  // synchronously during assignment, so the byte counters are current).
-  if (sharded()) {
-    for (std::size_t i = 0; i < num_tasks; ++i)
-      sync_replicable(TaskId(static_cast<TaskId::underlying_type>(i)));
-  }
-}
-
-void StorageAffinityScheduler::build_affinity_index() {
-  const workload::Job& job = engine().job();
-  const std::size_t num_tasks = job.num_tasks();
-  const std::size_t num_sites = engine().num_sites();
-
-  // CSR build: count row widths, finalize, fill in task order — each
-  // row ends up in the same order the old per-file push_back produced.
-  tasks_of_file_.reset(job.catalog.num_files());
-  for (const workload::Task& t : job.tasks())
-    for (FileId f : t.files) tasks_of_file_.count(f.value());
-  tasks_of_file_.finalize();
-  for (const workload::Task& t : job.tasks())
-    for (FileId f : t.files) tasks_of_file_.push(f.value(), t.id);
-
-  cached_bytes_.assign(num_sites, std::vector<Bytes>(num_tasks, 0));
-  replica_index_.assign(num_sites,
-                        ShardedTaskIndex(/*prefer_high_id=*/true));
-  for (std::size_t s = 0; s < num_sites; ++s) {
-    SiteId site(static_cast<SiteId::underlying_type>(s));
-    replica_index_[s].reset(num_tasks);
-    const storage::FileCache& cache = engine().site_cache(site);
-    for (FileId f : cache.contents()) {
-      const Bytes sz = job.catalog.size(f);
-      for (TaskId t : tasks_of_file_.row(f.value()))
-        cached_bytes_[s][t.value()] += sz;
-    }
-    engine().set_cache_listener(
-        site, [this, site](storage::CacheEvent e, FileId f) {
-          on_cache_event(site, e, f);
-        });
-  }
-}
-
-void StorageAffinityScheduler::on_cache_event(SiteId site,
-                                              storage::CacheEvent event,
-                                              FileId file) {
-  // Byte overlap only changes when residency changes; accesses bump
-  // reference counts, which storage affinity never reads.
-  if (event == storage::CacheEvent::kAccessed) return;
-  const Bytes sz = engine().job().catalog.size(file);
-  std::vector<Bytes>& bytes = cached_bytes_[site.value()];
-  ShardedTaskIndex& shard = replica_index_[site.value()];
-  for (TaskId t : tasks_of_file_.row(file.value())) {
-    if (event == storage::CacheEvent::kAdded) {
-      bytes[t.value()] += sz;
-    } else {
-      WCS_DCHECK(bytes[t.value()] >= sz);
-      bytes[t.value()] -= sz;
-    }
-    if (shard.contains(t)) shard.update(t, bytes[t.value()]);
-  }
-}
-
-void StorageAffinityScheduler::sync_replicable(TaskId task) {
-  const auto& instances = placements_[task.value()];
-  const bool want =
-      !completed_[task.value()] && !instances.empty() &&
-      instances.size() < static_cast<std::size_t>(params_.max_replicas);
-  for (std::size_t s = 0; s < replica_index_.size(); ++s) {
-    ShardedTaskIndex& shard = replica_index_[s];
-    if (want == shard.contains(task)) continue;
-    if (want)
-      shard.insert(task, cached_bytes_[s][task.value()]);
-    else
-      shard.erase(task);
-  }
 }
 
 void StorageAffinityScheduler::distribute_all() {
@@ -205,10 +125,6 @@ double StorageAffinityScheduler::cache_affinity(TaskId task,
 
 void StorageAffinityScheduler::on_worker_idle(WorkerId worker) {
   obs::ScopedPhase phase(profiler_, obs::Phase::kSchedulerDecision);
-  if (sharded()) {
-    on_worker_idle_sharded(worker);
-    return;
-  }
   // Orphan pickup first: a task may have lost its last instance while no
   // live worker was available (total-outage corner under churn).
   for (std::size_t i = 0; i < placements_.size(); ++i) {
@@ -251,49 +167,11 @@ void StorageAffinityScheduler::on_worker_idle(WorkerId worker) {
   engine().assign_task(best, worker);
 }
 
-void StorageAffinityScheduler::on_worker_idle_sharded(WorkerId worker) {
-  // Orphan pickup: the ordered set mirrors the flat scan's ascending-id
-  // walk, so the lowest orphan id wins in O(log T).
-  if (!orphans_.empty()) {
-    const TaskId t(static_cast<TaskId::underlying_type>(orphans_.first()));
-    orphans_.erase(t.value());
-    placements_[t.value()].push_back(worker);
-    sync_replicable(t);
-    engine().assign_task(t, worker);
-    return;
-  }
-
-  // Replica pick: best-first bucket walk. Keys are exact byte overlaps
-  // (the flat scan's doubles represent the same sums exactly — well
-  // below 2^53), buckets sort ties toward the highest id, and tasks
-  // already holding an instance on this worker are skipped in place —
-  // the first acceptable entry IS the flat scan's argmax.
-  const SiteId site = engine().site_of(worker);
-  TaskId best = TaskId::invalid();
-  const auto& buckets = replica_index_[site.value()].buckets();
-  for (auto it = buckets.rbegin(); it != buckets.rend() && !best.valid();
-       ++it) {
-    for (const ShardedTaskIndex::Entry& e : it->second) {
-      const auto& instances = placements_[e.task.value()];
-      if (instances.contains(worker)) continue;  // never two on one worker
-      best = e.task;
-      break;
-    }
-  }
-  if (!best.valid()) return;  // nothing replicatable; worker stays idle
-
-  placements_[best.value()].push_back(worker);
-  ++replications_;
-  sync_replicable(best);
-  engine().assign_task(best, worker);
-}
-
 void StorageAffinityScheduler::on_worker_failed(
     WorkerId worker, const std::vector<TaskId>& lost) {
   for (TaskId t : lost) {
     auto& instances = placements_[t.value()];
     instances.erase_value(worker);
-    if (sharded()) sync_replicable(t);  // may drop below max_replicas
     if (!instances.empty() || completed_[t.value()]) continue;
     // Orphaned: push to the least-backlogged live worker (tie: lowest id).
     WorkerId target = WorkerId::invalid();
@@ -304,17 +182,11 @@ void StorageAffinityScheduler::on_worker_failed(
           engine().worker_backlog(cand) < engine().worker_backlog(target))
         target = cand;
     }
-    // With every worker down the task waits for the next failure event
-    // of a recovered worker to re-place it — in practice recovery
-    // always precedes that, and the engine flags a truly stuck job.
-    // (Sharded mode parks it in the orphan set so the next idle worker
-    // picks it up by lowest id, exactly like the flat orphan scan.)
-    if (!target.valid()) {
-      if (sharded()) orphans_.insert(t.value());
-      continue;
-    }
+    // With every worker down the task stays unplaced until a recovered
+    // worker goes idle and the orphan scan in on_worker_idle picks it
+    // up; the engine flags a truly stuck job at drain.
+    if (!target.valid()) continue;
     instances.push_back(target);
-    if (sharded()) sync_replicable(t);
     engine().assign_task(t, target);
   }
 }
@@ -322,89 +194,11 @@ void StorageAffinityScheduler::on_worker_failed(
 void StorageAffinityScheduler::on_task_completed(TaskId task,
                                                  WorkerId worker) {
   completed_[task.value()] = 1;
-  if (sharded()) {
-    sync_replicable(task);  // completed: leaves every replica index
-    // Trim the inverted index so cache events stop touching this task.
-    for (FileId f : engine().job().task(task).files) {
-      const bool removed = tasks_of_file_.erase_swap(f.value(), task);
-      WCS_DCHECK(removed);
-      (void)removed;
-    }
-  }
   for (WorkerId w : placements_[task.value()]) {
     if (w == worker) continue;
     engine().cancel_task(task, w);
   }
   placements_[task.value()].clear();
-}
-
-void StorageAffinityScheduler::audit_collect(
-    std::vector<audit::Violation>& out) const {
-  if (!sharded() || replica_index_.empty()) return;
-  const workload::Job& job = engine().job();
-
-  for (std::size_t s = 0; s < replica_index_.size(); ++s) {
-    const SiteId site(static_cast<SiteId::underlying_type>(s));
-    const ShardedTaskIndex& shard = replica_index_[s];
-    const storage::FileCache& cache = engine().site_cache(site);
-
-    audit::ShardedIndexSnapshot snap;
-    snap.label = "site " + std::to_string(s) + " replica index";
-    snap.indexed = shard.size();
-    snap.defects = shard.structural_defects();
-    std::size_t expected = 0;
-    for (std::size_t i = 0; i < placements_.size(); ++i) {
-      const TaskId t(static_cast<TaskId::underlying_type>(i));
-      const auto& instances = placements_[i];
-      const bool want =
-          !completed_[i] && !instances.empty() &&
-          instances.size() < static_cast<std::size_t>(params_.max_replicas);
-      if (want) ++expected;
-      if (want != shard.contains(t)) {
-        std::ostringstream os;
-        os << "task " << t << (want ? " replicable but not indexed"
-                                    : " indexed but not replicable");
-        snap.defects.push_back(os.str());
-        continue;
-      }
-      if (!want) continue;
-      // Key vs brute-force byte overlap against the live cache.
-      Bytes bytes = 0;
-      for (FileId f : job.task(t).files)
-        if (cache.contains(f)) bytes += job.catalog.size(f);
-      if (shard.key_of(t) != bytes ||
-          cached_bytes_[s][t.value()] != bytes) {
-        std::ostringstream os;
-        os << "task " << t << " filed under " << shard.key_of(t)
-           << " bytes (counter " << cached_bytes_[s][t.value()]
-           << ") but the rescan finds " << bytes;
-        snap.defects.push_back(os.str());
-      }
-    }
-    snap.expected = expected;
-    audit::check_sharded_index(snap, out);
-  }
-
-  // Orphan set vs the placement table.
-  audit::ShardedIndexSnapshot orphan_snap;
-  orphan_snap.label = "orphan set";
-  orphan_snap.indexed = orphans_.size();
-  std::size_t expected_orphans = 0;
-  for (std::size_t i = 0; i < placements_.size(); ++i) {
-    const TaskId t(static_cast<TaskId::underlying_type>(i));
-    const bool is_orphan = !completed_[i] && placements_[i].empty();
-    // A task completed-and-cleared is not an orphan; one the flat scan
-    // would pick up must be in the set.
-    if (is_orphan) ++expected_orphans;
-    if (is_orphan != orphans_.contains(t.value())) {
-      std::ostringstream os;
-      os << "task " << t
-         << (is_orphan ? " orphaned but not tracked" : " tracked but placed");
-      orphan_snap.defects.push_back(os.str());
-    }
-  }
-  orphan_snap.expected = expected_orphans;
-  audit::check_sharded_index(orphan_snap, out);
 }
 
 }  // namespace wcs::sched

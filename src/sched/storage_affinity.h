@@ -27,19 +27,12 @@
 // current contents), up to max_replicas instances per task. The first
 // instance to finish wins; the scheduler cancels the siblings.
 //
-// Complexity: the replica pick is the hot path (it runs on every idle
-// transition for the rest of the run). The reference implementation
-// rescans every task and intersects its file set with the cache,
-// O(T * I) per request. With SchedulerOptions::use_sharded_index (the
-// default) the scheduler instead maintains, from cache-change
-// notifications, an incremental per-(site, task) cached-byte counter and
-// a per-site sharded index (sharded_index.h) over the replicable set —
-// bucket key = byte overlap, ties broken toward the highest task id,
-// matching the flat scan exactly — so a request walks buckets best-first
-// in O(log B) and picks the identical task. Orphan pickup keeps an
-// ordered id set mirroring the flat lowest-id-first scan. --audit
-// cross-validates counters, bucket keys, and the orphan set against a
-// brute-force rescan on every sweep.
+// Complexity: the replica pick runs on every idle transition for the
+// rest of the run and rescans every task against the worker's site
+// cache, O(T * I) per request. A per-site bucket index keyed by byte
+// overlap was tried and removed: it lost end to end to this scan
+// (DESIGN.md §Performance architecture), so the scheduler keeps no
+// state beyond its placement table.
 #pragma once
 
 #include <cstdint>
@@ -47,11 +40,8 @@
 #include <string>
 #include <vector>
 
-#include "common/csr.h"
-#include "common/dense_id_set.h"
 #include "common/inline_vec.h"
 #include "sched/scheduler.h"
-#include "sched/sharded_index.h"
 
 namespace wcs::sched {
 
@@ -66,9 +56,6 @@ struct StorageAffinityParams {
   // algorithms at large capacities, Fig. 4). Reconstruction choice
   // recorded in DESIGN.md §6.
   double imbalance_factor = 1.25;
-
-  // Cross-cutting toggles (sharded index on/off); see scheduler.h.
-  SchedulerOptions options;
 };
 
 class StorageAffinityScheduler final : public Scheduler {
@@ -87,12 +74,6 @@ class StorageAffinityScheduler final : public Scheduler {
     return "storage-affinity";
   }
 
-  // Invariant audit (sharded mode only; the flat path keeps no redundant
-  // state): cross-validates the incremental cached-byte counters and the
-  // per-site replica index against a brute-force recompute from the live
-  // caches, and the orphan set against the placement table.
-  void audit_collect(std::vector<audit::Violation>& out) const override;
-
   // --- Introspection (tests) -------------------------------------------
   [[nodiscard]] std::span<const WorkerId> placements(TaskId task) const {
     const auto& v = placements_.at(task.value());
@@ -108,23 +89,6 @@ class StorageAffinityScheduler final : public Scheduler {
   // Byte overlap between a task's input set and a site's current cache.
   [[nodiscard]] double cache_affinity(TaskId task, SiteId site) const;
 
-  // --- Sharded replica index (see file comment) -------------------------
-  [[nodiscard]] bool sharded() const {
-    return params_.options.use_sharded_index;
-  }
-  // Builds the inverted file->task index, seeds the per-(site, task)
-  // cached-byte counters from current cache contents, and subscribes to
-  // cache-change notifications.
-  void build_affinity_index();
-  // Re-keys cached_bytes_ and the replica index for one cache mutation.
-  void on_cache_event(SiteId site, storage::CacheEvent event, FileId file);
-  // Re-derives `task`'s membership in every site's replica index from
-  // its placement/completion state (replicable = incomplete, has at
-  // least one instance, below max_replicas).
-  void sync_replicable(TaskId task);
-  // The sharded twin of the flat on_worker_idle scan: identical choice.
-  void on_worker_idle_sharded(WorkerId worker);
-
   StorageAffinityParams params_;
   // Active instances per task; two inline slots cover max_replicas = 2
   // (every paper configuration), larger settings spill.
@@ -132,17 +96,6 @@ class StorageAffinityScheduler final : public Scheduler {
   std::vector<char> completed_;
   std::vector<std::uint32_t> worker_load_;  // queued+running per worker
   std::uint64_t replications_ = 0;
-
-  // Sharded-mode state; untouched (empty) under --flat-index. The
-  // inverted index holds INCOMPLETE tasks only (trimmed on completion)
-  // so cache events stop touching finished tasks; it lives in one CSR
-  // pool (swap-erase on completion is the only mutation).
-  common::Csr<TaskId> tasks_of_file_;
-  std::vector<std::vector<Bytes>> cached_bytes_;  // [site][task]
-  std::vector<ShardedTaskIndex> replica_index_;   // per site, high-id ties
-  // Incomplete tasks with no live instance, as a bitmap whose
-  // lowest-member query matches the flat scan's lowest-id-first pickup.
-  common::DenseIdSet orphans_;
 };
 
 }  // namespace wcs::sched

@@ -91,7 +91,6 @@ void WorkerCentricScheduler::build_index() {
   // already hold (usually nothing; tests may pre-warm), then subscribe to
   // incremental updates.
   sites_.assign(engine().num_sites(), SiteIndex{});
-  shards_.assign(sharded() ? engine().num_sites() : 0, ShardedTaskIndex{});
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     SiteId site(static_cast<SiteId::underlying_type>(s));
     SiteIndex& idx = sites_[s];
@@ -114,15 +113,6 @@ void WorkerCentricScheduler::build_index() {
       idx.total_ref += idx.ref_sum[t];
       ++idx.missing_hist[task_size_[t] - idx.overlap[t]];
     }
-    if (sharded()) {
-      ShardedTaskIndex& shard = shards_[s];
-      shard.reset(num_tasks);
-      for (std::size_t t = 0; t < num_tasks; ++t) {
-        if (!pending_[t]) continue;
-        TaskId id(static_cast<TaskId::underlying_type>(t));
-        shard.insert(id, shard_key(idx, id), shard_rank(idx, id));
-      }
-    }
     engine().set_cache_listener(
         site, [this, site](storage::CacheEvent e, FileId f) {
           on_cache_event(site, e, f);
@@ -139,9 +129,7 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
   // count accumulated while resident (insert/evict do not change counts).
   // The inverted index only holds PENDING tasks (trimmed in
   // remove_pending, restored in re_add_pending), so every task touched
-  // here also updates the site's incremental totals — and is re-keyed in
-  // the site's shard, which indexes exactly the pending bag.
-  ShardedTaskIndex* shard = sharded() ? &shards_[site.value()] : nullptr;
+  // here also updates the site's incremental totals.
   switch (event) {
     case storage::CacheEvent::kAdded: {
       auto refs = static_cast<std::uint64_t>(
@@ -154,7 +142,6 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
         ++idx.overlap[t.value()];
         idx.ref_sum[t.value()] += refs;
         idx.total_ref += refs;
-        if (shard) shard->update(t, shard_key(idx, t), shard_rank(idx, t));
       }
       break;
     }
@@ -169,19 +156,14 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
         --idx.overlap[t.value()];
         idx.ref_sum[t.value()] -= refs;
         idx.total_ref -= refs;
-        if (shard) shard->update(t, shard_key(idx, t), shard_rank(idx, t));
       }
       break;
     }
     case storage::CacheEvent::kAccessed:
       // r_i was incremented by exactly one while the file is resident.
-      // Bucket keys do not depend on reference counts, so only the
-      // combined metric (ranked by ref_t) needs a shard re-key.
       for (TaskId t : tasks_of_file_.row(file.value())) {
         idx.ref_sum[t.value()] += 1;
         idx.total_ref += 1;
-        if (shard && params_.metric == Metric::kCombined)
-          shard->update(t, shard_key(idx, t), idx.ref_sum[t.value()]);
       }
       break;
   }
@@ -322,9 +304,8 @@ std::size_t WorkerCentricScheduler::overlap_cardinality(SiteId site,
 namespace {
 
 // Top-n candidate buffer ordered by (weight desc, task id asc) — the
-// ChooseTask(n) selection order. Both decision paths feed it: the flat
-// scan offers every pending task, the sharded walk only bucket prefixes.
-// n is tiny (1 or 2 in the paper), so insertion beats sorting T entries.
+// ChooseTask(n) selection order. n is tiny (1 or 2 in the paper), so
+// insertion beats sorting T entries.
 struct TopN {
   struct Candidate {
     double weight;
@@ -338,26 +319,19 @@ struct TopN {
     return a.task < b.task;
   }
 
-  // Returns false when the candidate did not make the buffer — in the
-  // sharded walk that ends the current bucket (entries behind it are
-  // ordered no-better under `better`).
-  bool offer(Candidate c) {
-    if (best.size() == n && !better(c, best.back())) return false;
+  void offer(Candidate c) {
+    if (best.size() == n && !better(c, best.back())) return;
     auto pos = std::upper_bound(best.begin(), best.end(), c, better);
     best.insert(pos, c);
     if (best.size() > n) best.pop_back();
-    return true;
   }
-
-  [[nodiscard]] bool full() const { return best.size() == n; }
 
   std::size_t n;
   std::vector<Candidate> best;
 };
 
 // Samples among the collected best-n proportionally to weight (uniform
-// when all weights are zero — see Rng::weighted_index). Shared tail of
-// both decision paths, so RNG consumption is identical by construction.
+// when all weights are zero — see Rng::weighted_index).
 TaskId pick_from(const TopN& topn, Rng& rng) {
   if (topn.best.size() == 1) return topn.best[0].task;
   std::vector<double> weights;
@@ -370,10 +344,6 @@ TaskId pick_from(const TopN& topn, Rng& rng) {
 
 TaskId WorkerCentricScheduler::choose_task(SiteId site) {
   WCS_CHECK(!pending_list_.empty());
-  return sharded() ? choose_task_sharded(site) : choose_task_flat(site);
-}
-
-TaskId WorkerCentricScheduler::choose_task_flat(SiteId site) {
   const SiteIndex& idx = sites_[site.value()];
 
   double total_ref = 0;
@@ -388,57 +358,6 @@ TaskId WorkerCentricScheduler::choose_task_flat(SiteId site) {
   return pick_from(topn, rng_);
 }
 
-TaskId WorkerCentricScheduler::choose_task_sharded(SiteId site) {
-  const SiteIndex& idx = sites_[site.value()];
-  const ShardedTaskIndex& shard = shards_[site.value()];
-  WCS_DCHECK_EQ(shard.size(), pending_list_.size());
-
-  double total_ref = 0;
-  double total_rest = 0;
-  if (params_.metric == Metric::kCombined)
-    std::tie(total_ref, total_rest) = totals(idx);
-
-  TopN topn(std::min<std::size_t>(
-      static_cast<std::size_t>(params_.choose_n), pending_list_.size()));
-  // Within one bucket, weight is monotone non-increasing along entry
-  // order (the rest/overlap term is fixed by the key; combined entries
-  // sort by ref_t descending, and ties sort by the id order `better`
-  // uses), so the first rejected entry ends the bucket.
-  auto scan_bucket = [&](const ShardedTaskIndex::Bucket& bucket) {
-    for (const ShardedTaskIndex::Entry& e : bucket)
-      if (!topn.offer({weight_of(idx, e.task, total_ref, total_rest),
-                       e.task}))
-        break;
-  };
-  const auto& buckets = shard.buckets();
-  switch (params_.metric) {
-    case Metric::kOverlap:
-      // Weight == key: larger keys strictly better, so stop as soon as
-      // the buffer is full — later buckets cannot displace anything.
-      for (auto it = buckets.rbegin(); it != buckets.rend(); ++it) {
-        scan_bucket(it->second);
-        if (topn.full()) break;
-      }
-      break;
-    case Metric::kRest:
-      // rest = 1/missing (2 at missing = 0) is strictly decreasing in
-      // the key, so the ascending walk visits buckets best-first.
-      for (const auto& [key, bucket] : buckets) {
-        scan_bucket(bucket);
-        if (topn.full()) break;
-      }
-      break;
-    case Metric::kCombined:
-      // The combined weight mixes a normalized ref term with the rest
-      // term, so no single bucket order dominates globally — visit every
-      // bucket (B <= max |t| + 1, a workload constant), still with the
-      // per-bucket early break.
-      for (const auto& [key, bucket] : buckets) scan_bucket(bucket);
-      break;
-  }
-  return pick_from(topn, rng_);
-}
-
 void WorkerCentricScheduler::remove_pending(TaskId task) {
   WCS_CHECK(is_pending(task));
   pending_[task.value()] = 0;
@@ -447,13 +366,11 @@ void WorkerCentricScheduler::remove_pending(TaskId task) {
   pending_list_[pos] = last;
   pending_pos_[last.value()] = pos;
   pending_list_.pop_back();
-  // The task leaves every site's pending aggregates (and shard).
-  for (std::size_t s = 0; s < sites_.size(); ++s) {
-    SiteIndex& idx = sites_[s];
+  // The task leaves every site's pending aggregates.
+  for (SiteIndex& idx : sites_) {
     idx.total_ref -= idx.ref_sum[task.value()];
     WCS_DCHECK(idx.missing_hist[missing_of(idx, task)] > 0);
     --idx.missing_hist[missing_of(idx, task)];
-    if (sharded()) shards_[s].erase(task);
   }
   // Trim the inverted index so cache events stop touching this task.
   for (FileId f : engine().job().task(task).files) {
@@ -548,11 +465,9 @@ void WorkerCentricScheduler::re_add_pending(TaskId task) {
     SiteIndex& idx = sites_[s];
     idx.overlap[task.value()] = overlap;
     idx.ref_sum[task.value()] = refs;
-    // The task re-enters the site's pending aggregates (and shard).
+    // The task re-enters the site's pending aggregates.
     idx.total_ref += refs;
     ++idx.missing_hist[missing_of(idx, task)];
-    if (sharded())
-      shards_[s].insert(task, shard_key(idx, task), shard_rank(idx, task));
   }
   for (FileId f : job.task(task).files)
     tasks_of_file_.push(f.value(), task);
@@ -627,40 +542,6 @@ void WorkerCentricScheduler::audit_collect(
          << " (task has " << job.task(t).files.size() << " files)";
       out.push_back(audit::Violation{"index-coherence", os.str()});
     }
-
-    // Sharded-index coherence: the shard must hold exactly the pending
-    // bag, with every entry keyed/ranked as the brute-force recompute
-    // (`overlap`/`ref_sum` above, straight from the cache) dictates.
-    if (!sharded()) continue;
-    const ShardedTaskIndex& shard = shards_[s];
-    audit::ShardedIndexSnapshot shard_snap;
-    shard_snap.label = "site " + std::to_string(s) + " shard";
-    shard_snap.indexed = shard.size();
-    shard_snap.expected = pending_list_.size();
-    shard_snap.defects = shard.structural_defects();
-    for (TaskId t : pending_list_) {
-      if (!shard.contains(t)) {
-        std::ostringstream os;
-        os << "pending task " << t << " missing from the shard";
-        shard_snap.defects.push_back(os.str());
-        continue;
-      }
-      const std::uint32_t scan_overlap = overlap[t.value()];
-      const std::uint64_t key =
-          params_.metric == Metric::kOverlap
-              ? scan_overlap
-              : task_size_[t.value()] - scan_overlap;
-      const std::uint64_t rank =
-          params_.metric == Metric::kCombined ? ref_sum[t.value()] : 0;
-      if (shard.key_of(t) != key || shard.rank_of(t) != rank) {
-        std::ostringstream os;
-        os << "task " << t << " filed under key " << shard.key_of(t)
-           << " / rank " << shard.rank_of(t) << " but the rescan wants "
-           << key << " / " << rank;
-        shard_snap.defects.push_back(os.str());
-      }
-    }
-    audit::check_sharded_index(shard_snap, out);
   }
 }
 

@@ -21,26 +21,23 @@
 // (rest.2/combined.2).
 //
 // Complexity: the paper's algorithm is O(T * I) per request (scan all
-// tasks, intersect file sets). Three incremental layers remove that:
+// tasks, intersect file sets). Two incremental layers make the scan
+// O(T) with an O(1) weight per task:
 //
 //   1. per-(site, task) overlap/ref-sum counters, updated from
 //      cache-change notifications, make one weight evaluation O(1);
 //   2. the combined metric's totalRef/totalRest aggregates (exact
 //      integer sum + missing-count histogram) make the normalizers O(1)
-//      per decision instead of a second O(T) scan;
-//   3. a sharded pending-task index (sharded_index.h) — per-site buckets
-//      keyed by the weight class, i.e. |F_t| for overlap and
-//      |t| - |F_t| for rest/combined, ranked by ref_t inside a combined
-//      bucket — resolves ChooseTask(n) by a best-first bucket walk in
-//      O(log B + n) instead of scanning the pending bag.
+//      per decision instead of a second O(T) scan.
 //
-// The semantics are byte-identical at every layer: tests cross-check
-// weights against the naive computation, the property suite replays
-// random interleavings through the flat and sharded paths, the golden
-// runs pin exact totals for both, and --audit cross-validates every
-// counter, aggregate, and bucket against a brute-force rescan. The flat
-// scan is kept as the reference implementation behind
-// SchedulerOptions::use_sharded_index (CLI: --flat-index).
+// ChooseTask(n) then scans the pending bag once. A bucketed index over
+// the bag was tried and removed: it won its microbenchmark but lost end
+// to end, because every cache event re-keyed each pending task that
+// references the file (DESIGN.md §Performance architecture). Tests
+// cross-check weights and choices against the naive computation under
+// random interleavings, the golden runs pin exact totals, and --audit
+// cross-validates every counter and aggregate against a brute-force
+// rescan.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +49,6 @@
 #include "common/inline_vec.h"
 #include "common/rng.h"
 #include "sched/scheduler.h"
-#include "sched/sharded_index.h"
 
 namespace wcs::sched {
 
@@ -83,9 +79,6 @@ struct WorkerCentricParams {
   // missing files at its site; first finisher wins.
   bool replicate_when_idle = false;
   int max_replicas = 2;  // total concurrent instances per task
-
-  // Cross-cutting toggles (sharded index on/off); see scheduler.h.
-  SchedulerOptions options;
 };
 
 class WorkerCentricScheduler final : public Scheduler {
@@ -103,7 +96,7 @@ class WorkerCentricScheduler final : public Scheduler {
                         const std::vector<TaskId>& lost) override;
   // Open-system arrivals: each task enters the pending bag exactly like
   // a crash re-home (per-site counters rebuilt against the live cache,
-  // aggregate / shard / inverted-index re-insertion), then starving
+  // aggregate and inverted-index re-insertion), then starving
   // workers are fed.
   void on_tasks_arrived(const std::vector<TaskId>& tasks) override;
   [[nodiscard]] bool supports_arrivals() const override { return true; }
@@ -141,8 +134,8 @@ class WorkerCentricScheduler final : public Scheduler {
   [[nodiscard]] std::pair<double, double> totals_of(SiteId site) const;
 
   // Resolves ChooseTask(n) for a worker at `site` WITHOUT assigning or
-  // removing the task — the bench/property-test hook for comparing the
-  // flat and sharded decision paths. Consumes exactly the RNG draw the
+  // removing the task — the bench/property-test hook for checking the
+  // choice against a brute-force top-n. Consumes exactly the RNG draw the
   // real assignment would (none when the top-n has a single candidate).
   // The pending bag must be non-empty.
   [[nodiscard]] TaskId peek_choice(SiteId site) { return choose_task(site); }
@@ -180,32 +173,9 @@ class WorkerCentricScheduler final : public Scheduler {
                                          TaskId task) const {
     return task_size_[task.value()] - idx.overlap[task.value()];
   }
-  // ChooseTask(n): dispatches to the sharded bucket walk or the flat
-  // reference scan (params_.options.use_sharded_index); both produce the
-  // same ordered top-n, the same RNG consumption, the same task.
+  // ChooseTask(n): the n best pending tasks by (weight desc, id asc),
+  // one weighted draw among them.
   [[nodiscard]] TaskId choose_task(SiteId site);
-  [[nodiscard]] TaskId choose_task_flat(SiteId site);
-  [[nodiscard]] TaskId choose_task_sharded(SiteId site);
-
-  // --- Sharded pending-task index (layer 3; see file comment) ----------
-  [[nodiscard]] bool sharded() const {
-    return params_.options.use_sharded_index;
-  }
-  // Bucket key of a pending task at one site: |F_t| for overlap (bigger
-  // is better), |t| - |F_t| for rest/combined (smaller is better).
-  [[nodiscard]] std::uint64_t shard_key(const SiteIndex& idx,
-                                        TaskId task) const {
-    return params_.metric == Metric::kOverlap ? idx.overlap[task.value()]
-                                              : missing_of(idx, task);
-  }
-  // Within-bucket rank: ref_t for combined (weight is strictly
-  // increasing in ref_t at fixed missing-count), 0 otherwise (all
-  // weights inside a bucket are equal for overlap/rest).
-  [[nodiscard]] std::uint64_t shard_rank(const SiteIndex& idx,
-                                         TaskId task) const {
-    return params_.metric == Metric::kCombined ? idx.ref_sum[task.value()]
-                                               : 0;
-  }
 
   // Replication phase (only when params_.replicate_when_idle). Returns
   // true if a replica was assigned to the worker.
@@ -220,9 +190,6 @@ class WorkerCentricScheduler final : public Scheduler {
   WorkerCentricParams params_;
   Rng rng_;
   std::vector<SiteIndex> sites_;
-  // One shard per site, holding exactly the pending bag keyed/ranked by
-  // shard_key/shard_rank; empty (and never touched) in flat mode.
-  std::vector<ShardedTaskIndex> shards_;
   // Inverted file -> pending-tasks index as one CSR pool (three flat
   // arrays) instead of a vector-of-vectors: rows support exactly the
   // mutations the scheduler performs (swap-erase on assignment, bounded

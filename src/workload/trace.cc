@@ -1,8 +1,11 @@
 #include "workload/trace.h"
 
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 
@@ -53,24 +56,49 @@ void save_workload(const Workload& workload, const std::string& path) {
   save_workload(workload, out);
 }
 
+namespace {
+
+// Places lines of one kind by their id once the whole trace is read. The
+// ids must be dense and 0-based: each below the number of lines of that
+// kind, none repeated. Nothing is sized by an id or a count the trace
+// declares, so `task 4000000000 ...` is a diagnostic, not a 4e9-slot
+// allocation.
+template <class T>
+std::vector<T> place_by_id(std::vector<std::pair<std::uint64_t, T>> staged,
+                           const char* kind) {
+  const std::size_t n = staged.size();
+  std::vector<char> seen(n, 0);
+  std::vector<T> placed(n);
+  for (auto& [id, value] : staged) {
+    WCS_CHECK_MSG(id < n, kind << " id " << id << " out of range: the trace"
+                               << " has " << n << ' ' << kind
+                               << " lines and ids must be dense 0-based");
+    WCS_CHECK_MSG(!seen[id], kind << ' ' << id << " declared twice");
+    seen[id] = 1;
+    placed[id] = std::move(value);
+  }
+  return placed;
+}
+
+}  // namespace
+
 Workload load_workload(std::istream& in) {
   Workload wl;
   std::size_t declared_files = 0;
-  std::vector<Bytes> sizes;
-  // Task lines parse into per-id staging slots (the trace may list
-  // tasks in any order); the job is CSR-packed in id order afterwards.
+  // Lines are staged in the order they are read (the trace may list ids
+  // in any order) and placed by id at the end; the job is then CSR-packed
+  // in id order.
   struct ParsedTask {
-    bool seen = false;
     double mflop = 0;
     std::vector<FileId> files;
   };
   struct ParsedArrival {
-    bool seen = false;
     std::uint32_t tenant = 0;
     double time_s = 0;
   };
-  std::vector<ParsedTask> parsed;
-  std::vector<ParsedArrival> arrivals;
+  std::vector<std::pair<std::uint64_t, Bytes>> staged_sizes;
+  std::vector<std::pair<std::uint64_t, ParsedTask>> staged_tasks;
+  std::vector<std::pair<std::uint64_t, ParsedArrival>> staged_arrivals;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -82,26 +110,20 @@ Workload load_workload(std::istream& in) {
       ls >> name;
       wl.job.set_name(name);
     } else if (kind == "files") {
-      ls >> declared_files;
-      sizes.assign(declared_files, 0);
+      WCS_CHECK_MSG(ls >> declared_files, "malformed files line");
     } else if (kind == "filesize") {
-      std::size_t idx = 0;
+      std::uint64_t idx = 0;
       Bytes size = 0;
-      ls >> idx >> size;
-      WCS_CHECK_MSG(idx < sizes.size(), "filesize index out of range");
-      sizes[idx] = size;
+      WCS_CHECK_MSG(ls >> idx >> size, "malformed filesize line");
+      staged_sizes.emplace_back(idx, size);
     } else if (kind == "task") {
-      TaskId::underlying_type id = 0;
-      double mflop = 0;
-      ls >> id >> mflop;
-      if (id >= parsed.size()) parsed.resize(id + 1);
-      ParsedTask& t = parsed[id];
-      WCS_CHECK_MSG(!t.seen, "task " << id << " declared twice");
-      t.seen = true;
-      t.mflop = mflop;
+      std::uint64_t id = 0;
+      ParsedTask t;
+      WCS_CHECK_MSG(ls >> id >> t.mflop, "malformed task line");
       FileId::underlying_type f = 0;
       while (ls >> f) t.files.push_back(FileId(f));
       WCS_CHECK_MSG(!ls.bad(), "malformed task line");
+      staged_tasks.emplace_back(id, std::move(t));
     } else if (kind == "tenant") {
       std::size_t idx = 0;
       std::uint32_t weight = 0;
@@ -111,39 +133,43 @@ Workload load_workload(std::istream& in) {
                     "tenant ids must be dense 0-based (got " << idx << ")");
       wl.arrivals.tenants.push_back({name, weight});
     } else if (kind == "arrival") {
-      TaskId::underlying_type id = 0;
+      std::uint64_t id = 0;
       ParsedArrival a;
-      ls >> id >> a.tenant >> a.time_s;
-      a.seen = true;
-      if (id >= arrivals.size()) arrivals.resize(id + 1);
-      WCS_CHECK_MSG(!arrivals[id].seen, "arrival " << id << " declared twice");
-      arrivals[id] = a;
+      WCS_CHECK_MSG(ls >> id >> a.tenant >> a.time_s,
+                    "malformed arrival line");
+      staged_arrivals.emplace_back(id, a);
     } else {
       WCS_CHECK_MSG(false, "unknown trace directive: " << kind);
     }
   }
+  const std::vector<Bytes> sizes =
+      place_by_id(std::move(staged_sizes), "filesize");
+  WCS_CHECK_MSG(sizes.size() >= declared_files, "file with no declared size");
+  WCS_CHECK_MSG(sizes.size() == declared_files,
+                "filesize index out of range: " << sizes.size()
+                                                << " filesize lines for "
+                                                << declared_files << " files");
   for (Bytes b : sizes) {
     WCS_CHECK_MSG(b > 0, "file with no declared size");
     wl.job.catalog.add_file(b);
   }
+  const std::vector<ParsedTask> parsed =
+      place_by_id(std::move(staged_tasks), "task");
   std::size_t total_refs = 0;
   for (const ParsedTask& t : parsed) total_refs += t.files.size();
   wl.job.reserve_tasks(parsed.size(), total_refs);
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    WCS_CHECK_MSG(parsed[i].seen, "task ids must be dense 0-based (missing "
-                                      << i << ")");
-    wl.job.add_task(parsed[i].files, parsed[i].mflop);
-  }
+  for (const ParsedTask& t : parsed) wl.job.add_task(t.files, t.mflop);
   validate_job(wl.job);
+  const std::vector<ParsedArrival> arrivals =
+      place_by_id(std::move(staged_arrivals), "arrival");
   if (!arrivals.empty()) {
     WCS_CHECK_MSG(arrivals.size() == parsed.size(),
                   "arrival directives must cover every task");
     wl.arrivals.arrival_s.reserve(arrivals.size());
     wl.arrivals.tenant_of.reserve(arrivals.size());
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-      WCS_CHECK_MSG(arrivals[i].seen, "missing arrival for task " << i);
-      wl.arrivals.arrival_s.push_back(arrivals[i].time_s);
-      wl.arrivals.tenant_of.push_back(arrivals[i].tenant);
+    for (const ParsedArrival& a : arrivals) {
+      wl.arrivals.arrival_s.push_back(a.time_s);
+      wl.arrivals.tenant_of.push_back(a.tenant);
     }
   }
   validate_arrivals(wl.arrivals, wl.job);

@@ -66,23 +66,6 @@ TEST(GoldenRun, FixedSeedTotalsAreExact) {
   }
 }
 
-TEST(GoldenRun, FlatIndexReproducesGoldensExactly) {
-  // The sharded pending-task index (the default) and the flat reference
-  // scan must make IDENTICAL choices: same goldens, byte for byte, for
-  // all six schedulers. This is the acceptance gate for
-  // SchedulerOptions::use_sharded_index (CLI: --flat-index).
-  auto specs = sched::SchedulerSpec::paper_algorithms();
-  ASSERT_EQ(specs.size(), std::size(kGolden));
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    specs[i].options.use_sharded_index = false;
-    const auto r = run_golden_scenario(specs[i]);
-    SCOPED_TRACE(specs[i].name() + " (flat index)");
-    EXPECT_EQ(r.makespan_s, kGolden[i].makespan_s);
-    EXPECT_EQ(r.total_file_transfers(), kGolden[i].file_transfers);
-    EXPECT_EQ(r.total_bytes_transferred(), kGolden[i].bytes_transferred);
-  }
-}
-
 TEST(GoldenRun, WholeFileCacheReproducesGoldensExactly) {
   // Block-granular accounting (the default, content overlap 0) and the
   // whole-file reference cache must make IDENTICAL decisions: same

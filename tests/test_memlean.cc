@@ -1,6 +1,6 @@
 // Memory-lean hot structures (PR 6): the NodeArena page allocator, the
-// global string interner, and the small flat containers (InlineVec, Csr,
-// DenseIdSet) that replaced per-task node containers, plus the
+// global string interner, and the small flat containers (InlineVec, Csr)
+// that replaced per-task node containers, plus the
 // allocation-free contracts the event loop relies on.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "common/alloc_stats.h"
 #include "common/arena.h"
 #include "common/csr.h"
-#include "common/dense_id_set.h"
 #include "common/ids.h"
 #include "common/inline_vec.h"
 #include "common/interner.h"
@@ -244,25 +243,6 @@ TEST(Csr, EraseSwapMatchesVectorMotion) {
   csr.push(0, 7);
   EXPECT_EQ(csr.row_size(0), 4u);
   EXPECT_TRUE(csr.row_bounds_sound());
-}
-
-// --- DenseIdSet ----------------------------------------------------------
-
-TEST(DenseIdSet, InsertEraseFirst) {
-  DenseIdSet s;
-  s.reset(100);
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.first(), DenseIdSet::kNpos);
-  EXPECT_TRUE(s.insert(42));
-  EXPECT_TRUE(s.insert(7));
-  EXPECT_FALSE(s.insert(7));  // already present
-  EXPECT_EQ(s.size(), 2u);
-  EXPECT_EQ(s.first(), 7u);  // lowest id first, like std::set::begin()
-  EXPECT_TRUE(s.erase(7));
-  EXPECT_FALSE(s.erase(7));
-  EXPECT_EQ(s.first(), 42u);
-  EXPECT_TRUE(s.contains(42));
-  EXPECT_FALSE(s.contains(41));
 }
 
 // --- allocation-free contracts ------------------------------------------

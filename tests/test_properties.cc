@@ -4,6 +4,8 @@
 // schedulers together).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
 #include <random>
 #include <tuple>
 
@@ -353,6 +355,69 @@ TEST(StatsProperties, CounterOverflowWrapsModulo64) {
   EXPECT_EQ(c.value(), near_max + 10);  // both sides wrap identically
   EXPECT_EQ(c.value() - before, 10u);
   EXPECT_LT(c.value(), before);  // it really did wrap
+}
+
+// --- Eviction and worker churn under the auditor -------------------------
+//
+// A full simulation with tight caches (constant eviction) AND worker
+// churn (crash/recover: lost tasks re-enter the pending bag, storage
+// affinity re-places orphans), swept by the invariant auditor every
+// 2,000 events. No sweep may fire (a violation aborts the run), and the
+// totals must equal the pinned values, which a bucketed twin of each
+// decision path reproduced bit for bit while it still existed.
+
+struct ChurnTotals {
+  const char* scheduler;
+  double makespan_s;
+  std::uint64_t events;
+  std::uint64_t file_transfers;
+  double bytes_transferred;
+};
+
+// Regenerate with: test_properties --gtest_filter='EvictionChurnUnderAudit.*'
+// (the run prints actual values at full precision).
+constexpr ChurnTotals kChurnTotals[] = {
+    {"storage-affinity", 140476.98261026386, 12333u, 5196u, 129900000000},
+    {"rest.2", 86753.295248124414, 6572u, 2861u, 71525000000},
+    {"combined", 82404.803440925854, 6737u, 2944u, 73600000000},
+};
+
+TEST(EvictionChurnUnderAudit, PinnedTotalsAreExact) {
+  workload::CoaddParams cp;
+  cp.num_tasks = 200;
+  cp.seed = 99;
+  const auto job = workload::generate_coadd(cp);
+
+  GridConfig c;
+  c.tiers.num_sites = 4;
+  c.tiers.workers_per_site = 3;
+  c.capacity_files = 1000;  // tight: constant eviction churn
+  c.churn = GridConfig::ChurnParams{
+      .mean_uptime_s = 4 * 3600.0, .mean_downtime_s = 1800.0, .seed = 17};
+  c.audit = true;
+  c.audit_interval_events = 2000;  // sweep often
+
+  sched::SchedulerSpec specs[3];
+  specs[0].algorithm = sched::Algorithm::kStorageAffinity;
+  specs[1].algorithm = sched::Algorithm::kRest;
+  specs[1].choose_n = 2;
+  specs[2].algorithm = sched::Algorithm::kCombined;
+
+  for (std::size_t i = 0; i < std::size(specs); ++i) {
+    SCOPED_TRACE(specs[i].name());
+    const auto r = run_once(c, job, specs[i], /*seed=*/3);
+    std::printf("    {\"%s\", %.17g, %lluu, %lluu, %.17g},\n",
+                specs[i].name().c_str(), r.makespan_s,
+                static_cast<unsigned long long>(r.events_executed),
+                static_cast<unsigned long long>(r.total_file_transfers()),
+                r.total_bytes_transferred());
+    EXPECT_EQ(specs[i].name(), kChurnTotals[i].scheduler);
+    EXPECT_EQ(r.tasks_completed, job.num_tasks());
+    EXPECT_EQ(r.makespan_s, kChurnTotals[i].makespan_s);
+    EXPECT_EQ(r.events_executed, kChurnTotals[i].events);
+    EXPECT_EQ(r.total_file_transfers(), kChurnTotals[i].file_transfers);
+    EXPECT_EQ(r.total_bytes_transferred(), kChurnTotals[i].bytes_transferred);
+  }
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
+#include "common/alloc_stats.h"
 #include "grid/experiment.h"
 #include "workload/coadd.h"
 #include "workload/trace.h"
@@ -63,6 +65,65 @@ TEST_F(TraceFileTest, RejectsZeroSizeFile) {
     out << "job bad\nfiles 1\ntask 0 1.0 0\n";  // filesize line missing
   }
   EXPECT_THROW((void)load_job(path_.string()), std::logic_error);
+}
+
+// The loader sizes its staging by the lines it has read, never by an id
+// or count the trace declares: a hostile id is a diagnostic, not a huge
+// allocation.
+
+TEST(TraceLoader, RejectsHugeTaskIdWithoutAllocatingForIt) {
+  std::istringstream in("job bad\nfiles 1\nfilesize 0 100\n"
+                        "task 4000000000 1.0 0\n");
+  EXPECT_THROW((void)load_job(in), std::logic_error);
+}
+
+TEST(TraceLoader, RejectsHugeArrivalIdWithoutAllocatingForIt) {
+  std::istringstream in("job bad\nfiles 1\nfilesize 0 100\n"
+                        "task 0 1.0 0\ntenant 0 1 solo\n"
+                        "arrival 4000000000 0 0\n");
+  EXPECT_THROW((void)load_workload(in), std::logic_error);
+}
+
+TEST(TraceLoader, RejectsHugeFileCountWithoutAllocatingForIt) {
+  std::istringstream in("job bad\nfiles 100000000000000000\n"
+                        "filesize 0 100\ntask 0 1.0 0\n");
+  EXPECT_THROW((void)load_job(in), std::logic_error);
+}
+
+TEST(TraceLoader, SparseIdCostsNoStagingForTheGap) {
+  std::istringstream in("job bad\nfiles 1\nfilesize 0 100\n"
+                        "task 0 1.0 0\ntask 1000000 1.0 0\n");
+  const common::AllocSnapshot before = common::alloc_snapshot();
+  EXPECT_THROW((void)load_job(in), std::logic_error);
+  const common::AllocSnapshot after = common::alloc_snapshot();
+  if (common::alloc_counting_enabled())
+    EXPECT_LT(after.bytes - before.bytes, 64u * 1024u);
+}
+
+TEST(TraceLoader, RejectsDuplicateAndGappedIds) {
+  std::istringstream dup("job bad\nfiles 1\nfilesize 0 100\n"
+                         "task 0 1.0 0\ntask 0 2.0 0\n");
+  EXPECT_THROW((void)load_job(dup), std::logic_error);
+  std::istringstream gap("job bad\nfiles 1\nfilesize 0 100\n"
+                         "task 0 1.0 0\ntask 2 1.0 0\n");
+  EXPECT_THROW((void)load_job(gap), std::logic_error);
+  std::istringstream extra_size("job bad\nfiles 1\nfilesize 0 100\n"
+                                "filesize 1 100\ntask 0 1.0 0\n");
+  EXPECT_THROW((void)load_job(extra_size), std::logic_error);
+}
+
+TEST(TraceLoader, PlacesOutOfOrderLinesById) {
+  std::istringstream in("job shuffled\nfilesize 1 200\nfiles 2\n"
+                        "filesize 0 100\ntask 1 2.0 1\ntask 0 1.0 0 1\n");
+  const Job job = load_job(in);
+  ASSERT_EQ(job.num_tasks(), 2u);
+  ASSERT_EQ(job.catalog.num_files(), 2u);
+  EXPECT_EQ(job.catalog.size(FileId(0u)), 100u);
+  EXPECT_EQ(job.catalog.size(FileId(1u)), 200u);
+  EXPECT_EQ(job.task(TaskId(0u)).mflop, 1.0);
+  EXPECT_EQ(job.task(TaskId(0u)).files.size(), 2u);
+  EXPECT_EQ(job.task(TaskId(1u)).mflop, 2.0);
+  EXPECT_EQ(job.task(TaskId(1u)).files.size(), 1u);
 }
 
 TEST_F(TraceFileTest, LargeJobRoundTripsExactly) {

@@ -1,11 +1,17 @@
 // Unit tests for the worker-centric scheduler: the three
-// CalculateWeight() metrics, ChooseTask(n), the incremental index, and
-// the degenerate cases the paper leaves implicit.
+// CalculateWeight() metrics, ChooseTask(n), the incremental index, the
+// degenerate cases the paper leaves implicit, and a brute-force choice
+// oracle replayed over random interleavings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <random>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "fake_engine.h"
@@ -496,6 +502,162 @@ TEST(IncrementalTotals, SurviveAssignEvictFailReAddChurn) {
   auto [ref0, rest0] = sched.totals_of(SiteId(0));
   EXPECT_DOUBLE_EQ(ref0, 0.0);
   EXPECT_DOUBLE_EQ(rest0, 0.0);
+}
+
+// --- ChooseTask(n) == brute-force top-n (the choice oracle) ---------------
+//
+// Random interleavings of {cache add (with LRU eviction pressure), peek,
+// assign, complete, worker failure}. Before every decision the oracle
+// scores each pending task with naive_weight() (straight from the live
+// cache), keeps the n best by (weight desc, task id asc) and draws among
+// them from its own Rng seeded like the scheduler's, so both consume the
+// same draws. Every peek_choice() and every assignment must equal the
+// oracle's pick, and the audit sweep must stay clean.
+
+workload::Job random_job(std::mt19937_64& rng, std::size_t num_tasks,
+                         std::size_t num_files) {
+  std::vector<std::vector<unsigned>> sets(num_tasks);
+  for (auto& files : sets) {
+    const std::size_t k = 1 + rng() % 4;
+    std::set<unsigned> chosen;
+    while (chosen.size() < k)
+      chosen.insert(static_cast<unsigned>(rng() % num_files));
+    files.assign(chosen.begin(), chosen.end());
+  }
+  return make_job(std::move(sets), num_files);
+}
+
+TaskId oracle_choice(const WorkerCentricScheduler& sched,
+                     const workload::Job& job, SiteId site, int choose_n,
+                     Rng& rng) {
+  struct Candidate {
+    double weight;
+    TaskId task;
+  };
+  std::vector<Candidate> ranked;
+  for (const workload::Task& t : job.tasks())
+    if (sched.is_pending(t.id))
+      ranked.push_back({sched.naive_weight(site, t.id), t.id});
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.weight != b.weight) return a.weight > b.weight;
+              return a.task < b.task;
+            });
+  ranked.resize(std::min(ranked.size(), static_cast<std::size_t>(choose_n)));
+  if (ranked.size() == 1) return ranked[0].task;
+  std::vector<double> weights;
+  for (const Candidate& c : ranked) weights.push_back(c.weight);
+  return ranked[rng.weighted_index(weights)].task;
+}
+
+void expect_no_violations(const Scheduler& sched, int step) {
+  std::vector<audit::Violation> v;
+  sched.audit_collect(v);
+  ASSERT_TRUE(v.empty()) << "step " << step << ": [" << v.front().checker
+                         << "] " << v.front().message;
+}
+
+void run_choice_oracle(Metric metric, int choose_n, CombinedFormula formula,
+                       std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const std::size_t num_tasks = 36;
+  const std::size_t num_files = 48;
+  const std::size_t num_sites = 3;
+  const std::size_t workers_per_site = 2;
+  const std::size_t num_workers = num_sites * workers_per_site;
+  const workload::Job job = random_job(rng, num_tasks, num_files);
+
+  // Small capacity: adds overflow constantly, exercising kEvicted updates.
+  FakeEngine eng(job, num_sites, workers_per_site, /*capacity=*/10);
+
+  WorkerCentricParams params;
+  params.metric = metric;
+  params.choose_n = choose_n;
+  params.combined_formula = formula;
+  WorkerCentricScheduler sched(params);
+  Rng oracle_rng(params.seed);
+
+  // Pre-warm a few files so build_index() seeds non-trivial counters.
+  for (int i = 0; i < 8; ++i) {
+    SiteId s(static_cast<SiteId::underlying_type>(rng() % num_sites));
+    FileId f(static_cast<FileId::underlying_type>(rng() % num_files));
+    eng.add_file(s, f);
+  }
+  sched.attach(eng);
+  sched.on_job_submitted();
+
+  std::vector<std::pair<TaskId, WorkerId>> live;  // assigned, not done
+  for (int step = 0; step < 600; ++step) {
+    const unsigned op = static_cast<unsigned>(rng() % 100);
+    if (op < 45) {
+      SiteId s(static_cast<SiteId::underlying_type>(rng() % num_sites));
+      FileId f(static_cast<FileId::underlying_type>(rng() % num_files));
+      eng.add_file(s, f);
+    } else if (op < 60) {
+      if (sched.pending_count() == 0) continue;
+      // Pure decision check; consumes the same draw on both sides.
+      SiteId s(static_cast<SiteId::underlying_type>(rng() % num_sites));
+      const TaskId want = oracle_choice(sched, job, s, choose_n, oracle_rng);
+      ASSERT_EQ(sched.peek_choice(s), want) << "step " << step << " site "
+                                            << s;
+    } else if (op < 85) {
+      if (sched.pending_count() == 0) continue;
+      WorkerId w(static_cast<WorkerId::underlying_type>(rng() % num_workers));
+      const TaskId want =
+          oracle_choice(sched, job, eng.site_of(w), choose_n, oracle_rng);
+      sched.on_worker_idle(w);
+      ASSERT_FALSE(eng.assignments.empty());
+      ASSERT_EQ(eng.assignments.back(), std::make_pair(want, w))
+          << "step " << step;
+      live.push_back(eng.assignments.back());
+    } else if (op < 93) {
+      if (live.empty()) continue;
+      const std::size_t i = rng() % live.size();
+      const auto [t, w] = live[i];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      sched.on_task_completed(t, w);
+    } else {
+      if (live.empty()) continue;
+      // Crash a worker that holds work; its tasks return to the bag with
+      // counters rebuilt from the live caches (the re_add_pending path).
+      // No worker ever starved, so the crash assigns nothing and draws
+      // nothing.
+      const WorkerId w = live[rng() % live.size()].second;
+      std::vector<TaskId> lost;
+      std::erase_if(live, [&](const std::pair<TaskId, WorkerId>& inst) {
+        if (inst.second != w) return false;
+        lost.push_back(inst.first);
+        return true;
+      });
+      const std::size_t before = eng.assignments.size();
+      sched.on_worker_failed(w, lost);
+      ASSERT_EQ(eng.assignments.size(), before) << "step " << step;
+    }
+    if (step % 37 == 0) expect_no_violations(sched, step);
+  }
+}
+
+TEST(ChoiceOracle, OverlapChooseOne) {
+  run_choice_oracle(Metric::kOverlap, 1, CombinedFormula::kProse, 0xA11CE);
+}
+TEST(ChoiceOracle, OverlapChooseTwo) {
+  run_choice_oracle(Metric::kOverlap, 2, CombinedFormula::kProse, 0xB0B);
+}
+TEST(ChoiceOracle, RestChooseOne) {
+  run_choice_oracle(Metric::kRest, 1, CombinedFormula::kProse, 0xC4B1E);
+}
+TEST(ChoiceOracle, RestChooseTwo) {
+  run_choice_oracle(Metric::kRest, 2, CombinedFormula::kProse, 0xD0D0);
+}
+TEST(ChoiceOracle, CombinedChooseOne) {
+  run_choice_oracle(Metric::kCombined, 1, CombinedFormula::kProse, 0xE66);
+}
+TEST(ChoiceOracle, CombinedChooseTwo) {
+  run_choice_oracle(Metric::kCombined, 2, CombinedFormula::kProse, 0xF00D);
+}
+TEST(ChoiceOracle, CombinedVerbatimChooseTwo) {
+  run_choice_oracle(Metric::kCombined, 2, CombinedFormula::kVerbatim,
+                    0xFEED);
 }
 
 }  // namespace
