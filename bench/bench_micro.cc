@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "fake_engine.h"
@@ -122,6 +123,48 @@ void BM_Reallocate(benchmark::State& state) {
 }
 
 BENCHMARK(BM_Reallocate)->Arg(10)->Arg(100)->Arg(1000);
+
+void BM_ReallocateSharedUplink(benchmark::State& state) {
+  // Steady-state reallocation cost when the whole pool is one component:
+  // the grid's file-server pattern. N flows leave one server through a
+  // shared uplink, each capped by its own client access link (0.1-0.2 MB/s
+  // against a 1 GB/s uplink), so every fill freezes one flow per
+  // bottleneck round and each reallocation re-solves all N. Each
+  // iteration churns one flow (cancel, start, activate): two
+  // reallocations. Flow sizes are effectively infinite.
+  const int kFlows = static_cast<int>(state.range(0));
+  sim::Simulator sim;
+  net::Topology topo;
+  const NodeId server = topo.add_node("server");
+  const NodeId router = topo.add_node("router");
+  topo.add_link(server, router, 1e9, 0.0);
+  std::vector<NodeId> clients;
+  for (int i = 0; i < kFlows; ++i) {
+    clients.push_back(topo.add_node("client"));
+    // Distinct capacities: no two access links tie.
+    topo.add_link(router, clients.back(), 1e5 + 97.0 * i, 0.0);
+  }
+  net::FlowManager flows(sim, topo);
+  std::vector<FlowId> ids;
+  ids.reserve(static_cast<std::size_t>(kFlows));
+  for (int i = 0; i < kFlows; ++i)
+    ids.push_back(flows.start_flow(server,
+                                   clients[static_cast<std::size_t>(i)],
+                                   megabytes(1e9), [](FlowId) {}));
+  for (int i = 0; i < kFlows; ++i) sim.step();  // t=0 activations
+
+  std::size_t victim = 0;
+  for (auto _ : state) {
+    flows.cancel(ids[victim]);
+    ids[victim] = flows.start_flow(server, clients[victim], megabytes(1e9),
+                                   [](FlowId) {});
+    sim.step();  // the replacement's activation -> second reallocation
+    victim = (victim + 1) % ids.size();
+  }
+  benchmark::DoNotOptimize(flows.cancelled_flows());
+  state.SetItemsProcessed(state.iterations() * 2);  // reallocations
+}
+BENCHMARK(BM_ReallocateSharedUplink)->Arg(100)->Arg(1000);
 
 void BM_CacheChurn(benchmark::State& state) {
   storage::FileCache cache(6000, storage::EvictionPolicy::kLru);

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <istream>
 #include <map>
@@ -114,6 +115,9 @@ class ConfigFile {
     }
     WCS_CHECK_MSG(pos == v.size(),
                   "config key " << key << ": trailing junk in " << v);
+    // std::stod accepts "nan" and "inf"; no config value means either.
+    WCS_CHECK_MSG(std::isfinite(out),
+                  "config key " << key << ": not a finite number: " << v);
     return out;
   }
   [[nodiscard]] double get_double_or(const std::string& key,

@@ -1,6 +1,7 @@
 #include "net/flow_manager.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 namespace wcs::net {
@@ -10,20 +11,20 @@ namespace {
 // keeping a flow alive forever.
 constexpr double kEpsilonBytes = 1e-6;
 
-// Progressive filling (max-min fairness) over `pool`: repeatedly find the
+// Progressive filling (max-min fairness) over `pool` by linear scan: the
+// oracle behind FlowManager::audit_rates_snapshot(). Repeatedly find the
 // most constrained link among `links` (smallest per-flow fair share,
 // lowest link id among ties — `links` is scanned in ascending id order),
 // freeze its flows at that share, and subtract their demand from the
 // other links they cross. caps/crossing are dense per-link tables the
 // caller seeded for every link in `links`; rates[i] receives pool[i]'s
-// share. `unfixed` is caller-provided worklist scratch.
+// share. `unfixed` is worklist scratch.
 //
 // The bottleneck order within one connected component of the flow<->link
 // sharing graph is independent of any other component (freezing a flow
-// only touches links of its own component), so running this over a
-// single component produces bitwise the same shares a full-pool run
-// assigns that component's flows. That equivalence is what lets
-// FlowManager::reallocate rebalance only the dirty component.
+// only touches links of its own component), so one run over the whole
+// pool assigns every flow bitwise the share FlowManager::fill_component
+// assigns it over its component alone.
 template <typename FlowPtr>
 void progressive_fill(const std::vector<FlowPtr>& pool,
                       const std::vector<LinkId>& links,
@@ -117,6 +118,7 @@ void FlowManager::activate(FlowId id) {
   f.active = true;
   f.pending_event = EventId::invalid();
   f.last_update = sim_.now();
+  join_links(f);  // complete() below leaves the lists again
   if (f.remaining <= kEpsilonBytes || f.route.empty()) {
     // Zero-byte transfer, or an intra-node transfer: instantaneous once
     // latency has been paid.
@@ -153,6 +155,7 @@ void FlowManager::complete(FlowId id) {
   // zeroed; its links were rebalanced then, so its disappearance now
   // cannot change any rate.
   const bool shared = f.active && !f.draining;
+  if (shared) leave_links(f);
   Route released = std::move(f.route);
   flows_.erase(it);
   ++completed_;
@@ -173,6 +176,7 @@ bool FlowManager::cancel(FlowId id) {
     for (LinkId lid : f.route) link_bytes_[lid.value()] += moved;
   }
   const bool shared = f.active && !f.draining;
+  if (shared) leave_links(f);
   Route released = std::move(f.route);
   flows_.erase(it);
   ++cancelled_;
@@ -286,45 +290,45 @@ double FlowManager::flow_rate(FlowId id) const {
   return it->second.active ? it->second.rate : 0;
 }
 
+void FlowManager::join_links(Flow& f) {
+  for (LinkId lid : f.route) {
+    // Activations arrive nearly in id order: find the slot from the back.
+    auto& list = link_flows_[lid.value()];
+    auto pos = list.end();
+    while (pos != list.begin() && f.id < (*(pos - 1))->id) --pos;
+    list.insert(pos, &f);
+  }
+}
+
+void FlowManager::leave_links(const Flow& f) {
+  for (LinkId lid : f.route) {
+    auto& list = link_flows_[lid.value()];
+    auto pos = std::lower_bound(
+        list.begin(), list.end(), f.id,
+        [](const Flow* a, FlowId id) { return a->id < id; });
+    WCS_CHECK(pos != list.end() && *pos == &f);
+    list.erase(pos);
+  }
+}
+
 void FlowManager::build_component(const std::vector<LinkId>& seeds) {
   ++epoch_;
   component_.clear();
   fill_links_.clear();
-  // The sharing pool (active, not draining) in canonical flow-id order.
-  realloc_order_.clear();
-  // detlint: unordered-loop -- collect-then-sort: 'realloc_order_' is sorted by flow id below
-  for (auto& [id, f] : flows_)
-    if (f.active && !f.draining) realloc_order_.push_back(&f);
-  std::sort(realloc_order_.begin(), realloc_order_.end(),
-            [](const Flow* a, const Flow* b) { return a->id < b->id; });
-
   for (LinkId lid : seeds) {
     if (link_mark_[lid.value()] != epoch_) {
       link_mark_[lid.value()] = epoch_;
       fill_links_.push_back(lid);
     }
   }
-
-  // Flood the sharing graph: a flow joins the component when any link of
-  // its route is dirty, and dirties the rest of its route in turn. The
-  // pass repeats until a full sweep adds nothing (bounded by the
-  // component's hop diameter). Flow marks reuse the link epoch counter.
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    for (Flow* f : realloc_order_) {
+  // Breadth-first flood: every flow on a dirty link joins the component
+  // and dirties the rest of its route. fill_links_ doubles as the queue.
+  // Flow marks reuse the link epoch counter.
+  for (std::size_t next = 0; next < fill_links_.size(); ++next) {
+    for (Flow* f : link_flows_[fill_links_[next].value()]) {
       if (f->mark == epoch_) continue;
-      bool touches = false;
-      for (LinkId lid : f->route) {
-        if (link_mark_[lid.value()] == epoch_) {
-          touches = true;
-          break;
-        }
-      }
-      if (!touches) continue;
       f->mark = epoch_;
       component_.push_back(f);
-      grew = true;
       for (LinkId lid : f->route) {
         if (link_mark_[lid.value()] != epoch_) {
           link_mark_[lid.value()] = epoch_;
@@ -333,11 +337,70 @@ void FlowManager::build_component(const std::vector<LinkId>& seeds) {
       }
     }
   }
-  // Flows join in flood order (pass by pass); restore the canonical id
-  // order the apply step and the from-scratch oracle both use.
+  // Flows join in flood order; the apply step runs in canonical id order.
   std::sort(component_.begin(), component_.end(),
             [](const Flow* a, const Flow* b) { return a->id < b->id; });
-  std::sort(fill_links_.begin(), fill_links_.end());
+}
+
+void FlowManager::fill_component() {
+  for (LinkId lid : fill_links_) {
+    link_cap_[lid.value()] = topo_.link(lid).bandwidth_bps;
+    link_crossing_[lid.value()] = 0;
+  }
+  for (Flow* f : component_) {
+    f->fill_share = kUnfixed;
+    for (LinkId lid : f->route) ++link_crossing_[lid.value()];
+  }
+
+  // Invariant: l has a queued key no greater than link_floor_[l], and a
+  // link with unfrozen flows has a queued key no greater than its share.
+  using Key = std::pair<double, LinkId::underlying_type>;
+  constexpr std::greater<Key> kMinFirst;  // min-heap on (share, link id)
+  auto push = [&](double share, LinkId::underlying_type l) {
+    link_floor_[l] = share;
+    fill_heap_.emplace_back(share, l);
+    std::push_heap(fill_heap_.begin(), fill_heap_.end(), kMinFirst);
+  };
+  fill_heap_.clear();
+  for (LinkId lid : fill_links_) {
+    const auto l = lid.value();
+    if (link_crossing_[l] == 0) continue;
+    link_floor_[l] = link_cap_[l] / link_crossing_[l];
+    fill_heap_.emplace_back(link_floor_[l], l);
+  }
+  std::make_heap(fill_heap_.begin(), fill_heap_.end(), kMinFirst);
+
+  std::size_t unfixed = component_.size();
+  while (unfixed > 0) {
+    WCS_CHECK(!fill_heap_.empty());
+    std::pop_heap(fill_heap_.begin(), fill_heap_.end(), kMinFirst);
+    const auto [key, l] = fill_heap_.back();
+    fill_heap_.pop_back();
+    const int n = link_crossing_[l];
+    if (n == 0) continue;  // every flow on it is already frozen
+    const double share = link_cap_[l] / n;
+    if (share > key) {  // lazy key: the share rose since this push
+      push(share, l);
+      continue;
+    }
+    // share == key: no link holds a smaller (share, id) pair, so l is the
+    // scan's bottleneck. Freeze its flows in id order.
+    for (Flow* f : link_flows_[l]) {
+      if (f->fill_share != kUnfixed) continue;
+      f->fill_share = share;
+      --unfixed;
+      for (LinkId lid : f->route) {
+        const auto r = lid.value();
+        link_cap_[r] -= share;
+        if (link_cap_[r] < 0) link_cap_[r] = 0;
+        const int left = --link_crossing_[r];
+        if (r == l || left == 0) continue;
+        // Usually the share rises; re-key only if it fell below the floor.
+        const double after = link_cap_[r] / left;
+        if (after < link_floor_[r]) push(after, r);
+      }
+    }
+  }
 }
 
 void FlowManager::reallocate(const Route& seed_links) {
@@ -356,15 +419,7 @@ void FlowManager::reallocate(const Route& seed_links) {
     }
 
     obs::ScopedPhase phase(profiler_, obs::Phase::kFlowRebalance);
-    for (LinkId lid : fill_links_) {
-      link_cap_[lid.value()] = topo_.link(lid).bandwidth_bps;
-      link_crossing_[lid.value()] = 0;
-    }
-    for (Flow* f : component_)
-      for (LinkId lid : f->route) ++link_crossing_[lid.value()];
-
-    progressive_fill(component_, fill_links_, link_cap_, link_crossing_,
-                     realloc_unfixed_, component_rates_);
+    fill_component();
 
     // Apply in canonical id order. A flow whose share is unchanged keeps
     // its progress, its last_update, and its scheduled completion event,
@@ -372,9 +427,9 @@ void FlowManager::reallocate(const Route& seed_links) {
     // refill would produce: that refill gives every flow outside the
     // component its current share, and so leaves it untouched.
     drained_scratch_.clear();
-    for (std::size_t i = 0; i < component_.size(); ++i) {
-      Flow& f = *component_[i];
-      const double new_rate = component_rates_[i];
+    for (Flow* fp : component_) {
+      Flow& f = *fp;
+      const double new_rate = f.fill_share;
       if (new_rate == f.rate) continue;
       if (f.rate > 0) {
         double moved = unsettled_bytes(f, now);
@@ -393,6 +448,7 @@ void FlowManager::reallocate(const Route& seed_links) {
         // release the flow's share for the next round.
         f.rate = 0;
         f.draining = true;
+        leave_links(f);
         f.pending_event = sim_.schedule_in(0, [this, fid] { complete(fid); });
         drained_scratch_.insert(drained_scratch_.end(), f.route.begin(),
                                 f.route.end());

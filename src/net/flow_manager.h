@@ -6,20 +6,35 @@
 // progressive filling (max-min fairness) and each flow's completion event
 // is rescheduled for its new rate.
 //
-// Reallocation is incremental: a flow start/finish seeds a dirty set with
-// the links it traverses, the affected connected component of the
-// flow<->link sharing graph is flooded out from those seeds, and
-// progressive filling runs over that component only. Max-min fair shares
-// decompose exactly by connected component, so rates outside the
-// component cannot change; inside it they are recomputed bitwise
-// identically to a from-scratch fill over the whole pool (the bottleneck
-// scan visits the component's links in ascending id order, the same
-// (share, link-id) order a whole-pool scan resolves ties by). A flow is
-// settled — progress credited, completion event rescheduled — only when
-// its rate actually changed. The from-scratch fill survives as the
-// oracle behind audit_rates_snapshot(): the `flow-rates` audit checker
-// compares it with the live rates at every audit epoch, and
-// tests/test_flow_incremental.cc after every operation.
+// Reallocation is incremental. The manager keeps, per link, the list of
+// flows sharing it (active and not draining) in flow-id order; a flow
+// joins the lists when it activates and leaves them when it completes,
+// is cancelled, or drains. A flow start/finish seeds the links it
+// traverses, and a breadth-first flood through those lists collects the
+// affected connected component of the flow<->link sharing graph. Max-min
+// fair shares decompose exactly by connected component, so rates outside
+// it cannot change.
+//
+// Inside the component, progressive filling is driven by a min-heap of
+// (fair share, link id) keys instead of a scan over every candidate link
+// per round. Keys are lazy: freezing flows at the minimum share can only
+// raise the other links' shares (up to ulp-level rounding), so a link is
+// pushed again only when its recomputed share falls below the smallest
+// key it has queued, and a popped link whose share has risen since its
+// push is pushed back with the new share. Every link with unfrozen flows
+// thus always holds a key no greater than its current share, so the
+// first popped key that still equals its link's share is the smallest
+// (share, link id) pair — exactly the bottleneck the linear scan picks,
+// ties resolved to the lowest link id. Its flows are then frozen in id
+// order with the scan's per-link `cap -= share`, clamp and `--crossing`
+// sequence, so every rate is bitwise the one a from-scratch scan over
+// the whole pool assigns. A flow is settled — progress credited,
+// completion event rescheduled — only when its rate actually changed.
+//
+// The linear-scan fill survives as the oracle behind
+// audit_rates_snapshot(): the `flow-rates` audit checker compares it with
+// the live rates at every audit epoch, and tests/test_flow_incremental.cc
+// after every operation.
 //
 // Latency is charged once per flow, up front: a flow spends
 // path_latency(src, dst) in a "connecting" phase during which it consumes
@@ -51,9 +66,11 @@ class FlowManager {
       : sim_(simulator), topo_(topology),
         flows_(FlowMapAlloc(&flow_arena_)),
         link_bytes_(topology.num_links(), 0),
+        link_flows_(topology.num_links()),
         link_cap_(topology.num_links(), 0),
         link_crossing_(topology.num_links(), 0),
-        link_mark_(topology.num_links(), 0) {}
+        link_mark_(topology.num_links(), 0),
+        link_floor_(topology.num_links(), 0) {}
 
   FlowManager(const FlowManager&) = delete;
   FlowManager& operator=(const FlowManager&) = delete;
@@ -90,10 +107,11 @@ class FlowManager {
   // changes.
   [[nodiscard]] audit::FlowAuditSnapshot audit_snapshot() const;
 
-  // Stored per-flow rates next to a from-scratch progressive-filling
-  // recompute over the same pool (audit::check_flow_rates). The live
-  // incremental rates must match the recompute bitwise — this is the
-  // invariant the dirty-component reallocation rests on.
+  // Stored per-flow rates next to a from-scratch linear-scan
+  // progressive-filling recompute over the same pool
+  // (audit::check_flow_rates). The live rates must match the recompute
+  // bitwise — the invariant the dirty-component reallocation and the
+  // bottleneck heap rest on.
   [[nodiscard]] audit::FlowRatesSnapshot audit_rates_snapshot() const;
 
   // Bytes carried by each link so far (including partial transfers of
@@ -111,6 +129,10 @@ class FlowManager {
   [[nodiscard]] const common::NodeArena& arena() const { return flow_arena_; }
 
  private:
+  // fill_share of a component flow the current fill has not frozen yet
+  // (real shares are >= 0).
+  static constexpr double kUnfixed = -1;
+
   struct Flow {
     FlowId id;
     Route route;             // empty for same-node transfers
@@ -124,6 +146,8 @@ class FlowManager {
     bool draining = false;   // remaining hit zero; completion is imminent
                              // and the flow no longer shares bandwidth
     std::uint64_t mark = 0;  // dirty-component epoch stamp (scratch)
+    double fill_share = 0;   // share frozen by the current fill (scratch;
+                             // kUnfixed until the fill reaches the flow)
     EventId pending_event;   // activation or completion event
     FlowCallback on_complete;
   };
@@ -138,10 +162,18 @@ class FlowManager {
   // rate changed.
   void reallocate(const Route& seed_links);
 
-  // Flood the sharing graph out from `seeds`: fills component_ (id-sorted
-  // flows whose rate may change) and fill_links_ (ascending link ids they
-  // traverse).
+  // Flood the sharing graph breadth-first out from `seeds` through the
+  // per-link flow lists: fills component_ (id-sorted flows whose rate may
+  // change) and fill_links_ (the links they traverse, in flood order).
   void build_component(const std::vector<LinkId>& seeds);
+
+  // Heap-driven progressive filling over component_ and fill_links_:
+  // sets each component flow's fill_share.
+  void fill_component();
+
+  // Enter / leave the per-link flow lists (the sharing pool).
+  void join_links(Flow& f);
+  void leave_links(const Flow& f);
 
   // Progress credited since the flow's last settle at its current rate.
   [[nodiscard]] double unsettled_bytes(const Flow& f, SimTime now) const;
@@ -167,20 +199,24 @@ class FlowManager {
   double bytes_delivered_ = 0;
   std::vector<double> link_bytes_;
 
+  // The sharing pool by link: link_flows_[l] lists the active,
+  // non-draining flows whose route crosses l, in ascending flow id.
+  // Flow-table nodes never move, so the pointers stay valid until the
+  // flow leaves the pool.
+  std::vector<std::vector<Flow*>> link_flows_;
+
   // reallocate() scratch, hoisted so the steady state runs
-  // allocation-free: the canonical (id-sorted) pool, the affected
-  // component and its rate vector, the worklist consumed by progressive
-  // filling, flat per-link capacity/crossing/epoch tables indexed by
-  // dense link id, the ascending candidate-link list the bottleneck scan
-  // walks, and the seed buffers the drain loop recycles.
-  std::vector<Flow*> realloc_order_;
+  // allocation-free: the affected component (id-sorted), flat per-link
+  // capacity/crossing/epoch/heap-floor tables indexed by dense link id,
+  // the component's links, the bottleneck heap of (share, link id) keys,
+  // and the seed buffers the drain loop recycles.
   std::vector<Flow*> component_;
-  std::vector<double> component_rates_;
-  std::vector<std::size_t> realloc_unfixed_;
   std::vector<double> link_cap_;
   std::vector<int> link_crossing_;
   std::vector<std::uint64_t> link_mark_;
+  std::vector<double> link_floor_;
   std::vector<LinkId> fill_links_;
+  std::vector<std::pair<double, LinkId::underlying_type>> fill_heap_;
   std::vector<LinkId> seed_scratch_;
   std::vector<LinkId> drained_scratch_;
   std::uint64_t epoch_ = 0;

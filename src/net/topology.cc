@@ -1,6 +1,7 @@
 #include "net/topology.h"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 
 namespace wcs::net {
@@ -17,8 +18,13 @@ LinkId Topology::add_link(NodeId a, NodeId b, double bandwidth_bps,
   WCS_CHECK(a.valid() && a.value() < nodes_.size());
   WCS_CHECK(b.valid() && b.value() < nodes_.size());
   WCS_CHECK_MSG(a != b, "self-loop link");
-  WCS_CHECK_MSG(bandwidth_bps > 0, "link bandwidth must be positive");
-  WCS_CHECK_MSG(latency_s >= 0, "negative latency");
+  // Finite values only: an infinite capacity makes the max-min fill's
+  // `cap - share` an inf - inf NaN, which has no place in its ordering.
+  WCS_CHECK_MSG(std::isfinite(bandwidth_bps) && bandwidth_bps > 0,
+                "link bandwidth must be finite and positive: "
+                    << bandwidth_bps);
+  WCS_CHECK_MSG(std::isfinite(latency_s) && latency_s >= 0,
+                "link latency must be finite and non-negative: " << latency_s);
   LinkId id(static_cast<LinkId::underlying_type>(links_.size()));
   links_.push_back(Link{id, a, b, bandwidth_bps, latency_s, std::move(name)});
   nodes_[a.value()].links.push_back(id);

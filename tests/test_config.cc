@@ -69,6 +69,26 @@ TEST(ConfigFile, NumericValidation) {
   EXPECT_THROW((void)cfg.get_double("b"), std::logic_error);
 }
 
+TEST(ConfigFile, RejectsNonFiniteDouble) {
+  // std::stod parses the first three and overflows on the last; every
+  // one must be rejected with a diagnostic naming its key.
+  auto cfg = ConfigFile::parse_string(
+      "[platform]\nuplink_mbps = inf\njitter = -infinity\nwan_mbps = nan\n"
+      "man_mbps = 1e999\n");
+  for (const char* key : {"platform.uplink_mbps", "platform.jitter",
+                          "platform.wan_mbps", "platform.man_mbps"}) {
+    SCOPED_TRACE(key);
+    try {
+      (void)cfg.get_double(key);
+      ADD_FAILURE() << "accepted a non-finite value";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)grid::grid_config_from(cfg), std::logic_error);
+}
+
 // --- Experiment mapping ----------------------------------------------------
 
 TEST(ExperimentIo, DefaultsMatchPaperTable1) {

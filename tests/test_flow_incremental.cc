@@ -16,13 +16,20 @@
 //
 // The workloads:
 //
-//   * randomized churn (7 seeds x 2 topology families): start / cancel /
+//   * randomized churn (7 seeds x 4 topology families): start / cancel /
 //     advance over partitioned multi-star platforms (many small
-//     components — the incremental sweet spot) and a shared chain (one
-//     big overlapping component — the flood-logic stress);
+//     components — the incremental sweet spot), a shared chain (one
+//     big overlapping component — the flood-logic stress), an
+//     integer-capacity star whose fair shares tie constantly (the
+//     bottleneck heap's lowest-link-id tie rule), and the grid's own
+//     shape: one server behind a shared uplink, each flow capped by its
+//     own access link (one component, one flow frozen per fill round);
 //   * adversarial fixtures: a shared-bottleneck chain with a midstream
 //     cancel, a single-link star with simultaneous completions (event-id
-//     tie-breaking), and zero-byte / same-node edge flows;
+//     tie-breaking), exact share ties whose resolution order shows in the
+//     rates' last bits (the lowest-link-id rule, and a share that falls
+//     by one ulp and must be re-keyed), and zero-byte / same-node edge
+//     flows;
 //   * an eviction-churn grid stress: full GridSimulation runs with worker
 //     crashes, cache eviction pressure, and the invariant auditor on
 //     (including the `flow-rates` checker).
@@ -32,8 +39,9 @@
 // grid runs' totals. They were recorded while a full-pool recompute was
 // still a selectable mode and a mirrored harness proved it bit-identical
 // to the incremental path, so they pin the settle/reschedule sequence
-// that comparison used to check. Failures print the actual values in
-// copy-paste form.
+// that comparison used to check. The equal-share and shared-uplink
+// records were recorded on the linear-scan fill, before the bottleneck
+// heap replaced it. Failures print the actual values in copy-paste form.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -158,6 +166,30 @@ void expect_churn_record(const Harness& h, const ChurnRecord& expected) {
   EXPECT_EQ(h.flows->active_flows(), 0u);
 }
 
+// Drives `ops` random operations, checking the oracle after each: about
+// 2 in 5 start a flow through `start_one`, 1 in 5 cancels a random live
+// flow, and the rest execute 1-3 events. Then runs the simulation dry.
+template <typename StartOne>
+void churn(Harness& h, Rng& rng, int ops, StartOne start_one) {
+  std::vector<FlowId> live;
+  for (int op = 0; op < ops; ++op) {
+    const std::size_t kind = rng.index(5);
+    if (kind <= 1 || live.empty()) {
+      live.push_back(start_one());
+    } else if (kind == 2) {
+      const std::size_t victim = rng.index(live.size());
+      h.flows->cancel(live[victim]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    } else {
+      const std::size_t steps = 1 + rng.index(3);
+      for (std::size_t i = 0; i < steps; ++i)
+        if (!h.step()) break;
+    }
+    h.expect_oracle("after op");
+  }
+  h.run_all();
+}
+
 // Indexed by seed - 1.
 constexpr ChurnRecord kMultiStarRecords[] = {
     {45u, 21u, 12u, 0xb4b33bb57b777666ull},
@@ -198,33 +230,19 @@ TEST_P(FlowDifferential, RandomChurnOnMultiStarStaysBitIdentical) {
   }
   h.init();
 
-  std::vector<FlowId> live;
-  for (int op = 0; op < 80; ++op) {
-    const std::size_t kind = rng.index(5);
-    if (kind <= 1 || live.empty()) {
-      const std::size_t hub_i = rng.index(kHubs);
-      const std::size_t s = rng.index(kLeaves);
-      std::size_t d = rng.index(kLeaves);
-      // ~1 in 10 flows is a same-node transfer; ~1 in 10 is zero-byte.
-      if (rng.index(10) != 0)
-        while (d == s) d = rng.index(kLeaves);
-      const Bytes bytes =
-          rng.index(10) == 0
-              ? 0u
-              : static_cast<Bytes>(rng.uniform_int(1'000, 50'000'000));
-      live.push_back(h.start(leaves[hub_i][s], leaves[hub_i][d], bytes));
-    } else if (kind == 2) {
-      const std::size_t victim = rng.index(live.size());
-      h.flows->cancel(live[victim]);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-    } else {
-      const std::size_t steps = 1 + rng.index(3);
-      for (std::size_t i = 0; i < steps; ++i)
-        if (!h.step()) break;
-    }
-    h.expect_oracle("after op");
-  }
-  h.run_all();
+  churn(h, rng, 80, [&] {
+    const std::size_t hub_i = rng.index(kHubs);
+    const std::size_t s = rng.index(kLeaves);
+    std::size_t d = rng.index(kLeaves);
+    // ~1 in 10 flows is a same-node transfer; ~1 in 10 is zero-byte.
+    if (rng.index(10) != 0)
+      while (d == s) d = rng.index(kLeaves);
+    const Bytes bytes =
+        rng.index(10) == 0
+            ? 0u
+            : static_cast<Bytes>(rng.uniform_int(1'000, 50'000'000));
+    return h.start(leaves[hub_i][s], leaves[hub_i][d], bytes);
+  });
   expect_churn_record(h, kMultiStarRecords[GetParam() - 1]);
 }
 
@@ -243,29 +261,91 @@ TEST_P(FlowDifferential, RandomChurnOnSharedChainStaysBitIdentical) {
   }
   h.init();
 
-  std::vector<FlowId> live;
-  for (int op = 0; op < 60; ++op) {
-    const std::size_t kind = rng.index(5);
-    if (kind <= 1 || live.empty()) {
-      const std::size_t s = rng.index(kNodes);
-      std::size_t d = rng.index(kNodes);
-      while (d == s) d = rng.index(kNodes);
-      live.push_back(h.start(
-          nodes[s], nodes[d],
-          static_cast<Bytes>(rng.uniform_int(10'000, 20'000'000))));
-    } else if (kind == 2) {
-      const std::size_t victim = rng.index(live.size());
-      h.flows->cancel(live[victim]);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-    } else {
-      const std::size_t steps = 1 + rng.index(3);
-      for (std::size_t i = 0; i < steps; ++i)
-        if (!h.step()) break;
-    }
-    h.expect_oracle("after op");
-  }
-  h.run_all();
+  churn(h, rng, 60, [&] {
+    const std::size_t s = rng.index(kNodes);
+    std::size_t d = rng.index(kNodes);
+    while (d == s) d = rng.index(kNodes);
+    return h.start(
+        nodes[s], nodes[d],
+        static_cast<Bytes>(rng.uniform_int(10'000, 20'000'000)));
+  });
   expect_churn_record(h, kSharedChainRecords[GetParam() - 1]);
+}
+
+constexpr ChurnRecord kEqualShareRecords[] = {
+    {49u, 21u, 9u, 0xe8370b350f9a94d1ull},
+    {68u, 31u, 7u, 0xd0c1ae8fcec59671ull},
+    {55u, 25u, 9u, 0x6e2074b319783621ull},
+    {59u, 26u, 9u, 0x7899f0e070c55de4ull},
+    {63u, 27u, 10u, 0x52c3021333b75195ull},
+    {58u, 28u, 4u, 0x277f1a0d71ab5e6ull},
+    {52u, 24u, 6u, 0x3210c5206b0dd8a0ull},
+};
+
+TEST_P(FlowDifferential, RandomChurnOnEqualShareStarStaysBitIdentical) {
+  // One hub, eight leaves, every capacity a multiple of 1 MB/s. Splits of
+  // k MB/s among n flows collide constantly (1/3 == 2/6 == 3/9 bitwise),
+  // and a tie resolved in the wrong link order leaves the next link one
+  // ulp off. Flow sizes are whole megabytes, so completions tie too.
+  Rng rng(GetParam());
+  Harness h;
+  const int kLeaves = 8;
+  NodeId hub = h.topo.add_node("hub");
+  std::vector<NodeId> leaves;
+  for (int l = 0; l < kLeaves; ++l) {
+    leaves.push_back(h.topo.add_node("leaf"));
+    h.topo.add_link(hub, leaves.back(),
+                    1e6 * static_cast<double>(1 + rng.index(4)), 0.0);
+  }
+  h.init();
+
+  churn(h, rng, 80, [&] {
+    const std::size_t s = rng.index(kLeaves);
+    std::size_t d = rng.index(kLeaves);
+    while (d == s) d = rng.index(kLeaves);
+    return h.start(
+        leaves[s], leaves[d],
+        static_cast<Bytes>(1'000'000 * rng.uniform_int(1, 30)));
+  });
+  expect_churn_record(h, kEqualShareRecords[GetParam() - 1]);
+}
+
+constexpr ChurnRecord kSharedUplinkRecords[] = {
+    {62u, 26u, 12u, 0xe41cb0dcd191482eull},
+    {72u, 35u, 3u, 0x5c90e17bf34277d2ull},
+    {67u, 31u, 9u, 0x62cdad6323d9642eull},
+    {62u, 29u, 6u, 0x61f8ad0c19a19ae9ull},
+    {74u, 33u, 11u, 0x49c1545eb03a0090ull},
+    {81u, 39u, 5u, 0x935b3f22bab5006cull},
+    {60u, 28u, 7u, 0xe0be1e6c74752818ull},
+};
+
+TEST_P(FlowDifferential, RandomChurnBehindSharedUplinkStaysBitIdentical) {
+  // The grid's sharing shape: every flow leaves one file server through
+  // one uplink, then takes its client's own access link. The uplink joins
+  // the whole pool into one component; access links are usually the
+  // bottlenecks, so each fill round freezes one flow and raises the
+  // uplink's share, and the uplink binds only when enough flows pile up.
+  Rng rng(GetParam());
+  Harness h;
+  const int kClients = 16;
+  NodeId server = h.topo.add_node("server");
+  NodeId router = h.topo.add_node("router");
+  h.topo.add_link(server, router, rng.uniform_real(2e6, 6e6), 0.0);
+  std::vector<NodeId> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(h.topo.add_node("client"));
+    h.topo.add_link(router, clients.back(), rng.uniform_real(1e5, 1e6),
+                    rng.uniform_real(0.0, 0.01));
+  }
+  h.init();
+
+  churn(h, rng, 100, [&] {
+    return h.start(
+        server, clients[rng.index(kClients)],
+        static_cast<Bytes>(rng.uniform_int(10'000, 20'000'000)));
+  });
+  expect_churn_record(h, kSharedUplinkRecords[GetParam() - 1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowDifferential,
@@ -347,6 +427,81 @@ TEST(FlowDifferentialFixtures, SingleLinkStarSimultaneousCompletions) {
                                 {5, 0x4018000000000000},
                             }));
   EXPECT_EQ(h.sim.executed_events(), 14u);
+}
+
+TEST(FlowDifferentialFixtures, EqualSharesResolveToLowestLinkId) {
+  // p --X-- q --Y-- r, both links 10 B/s. Flows a, b cross X; d, e cross
+  // Y; c crosses both. Both fair shares are fl(10/3): an exact tie. The
+  // link with the lower id is the bottleneck first and its three flows
+  // freeze at s = fl(10/3); the other link's two remaining flows then
+  // split 10 - s, which rounds one ulp below s. Built both ways round, so
+  // the id rule, not the build order, decides which flows get which.
+  const double s = 10.0 / 3;
+  const double rest = (10.0 - s) / 2;
+  ASSERT_NE(bits(s), bits(rest));
+  for (const bool x_first : {true, false}) {
+    SCOPED_TRACE(x_first ? "X has the lower id" : "Y has the lower id");
+    Harness h;
+    NodeId p = h.topo.add_node("p");
+    NodeId q = h.topo.add_node("q");
+    NodeId r = h.topo.add_node("r");
+    if (x_first) {
+      h.topo.add_link(p, q, 10, 0.0);
+      h.topo.add_link(q, r, 10, 0.0);
+    } else {
+      h.topo.add_link(q, r, 10, 0.0);
+      h.topo.add_link(p, q, 10, 0.0);
+    }
+    h.init();
+    const FlowId on_x[] = {h.start(p, q, 1'000'000), h.start(p, q, 1'000'000)};
+    const FlowId both = h.start(p, r, 1'000'000);
+    const FlowId on_y[] = {h.start(q, r, 1'000'000), h.start(q, r, 1'000'000)};
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(h.step());  // t=0 activations
+
+    EXPECT_EQ(bits(h.flows->flow_rate(both)), bits(s));
+    for (FlowId id : on_x)
+      EXPECT_EQ(bits(h.flows->flow_rate(id)), bits(x_first ? s : rest));
+    for (FlowId id : on_y)
+      EXPECT_EQ(bits(h.flows->flow_rate(id)), bits(x_first ? rest : s));
+    h.run_all();
+    EXPECT_EQ(h.flows->completed_flows(), 5u);
+  }
+}
+
+TEST(FlowDifferentialFixtures, ShareFallingByAnUlpIsReKeyed) {
+  // p --X-- q --Y-- r --Z-- t, every link 10 B/s and three flows each,
+  // ids X < Z < Y: all three shares tie at s = fl(10/3). X goes first;
+  // its flow c also crosses Y, whose share then falls one ulp to
+  // rest = (10 - s) / 2. Y must now beat Z, so g (on Y and Z) freezes at
+  // rest. Had Y kept its stale key s, the id rule would pick Z first and
+  // g would freeze at s.
+  const double s = 10.0 / 3;
+  const double rest = (10.0 - s) / 2;
+  ASSERT_LT(rest, s);
+  Harness h;
+  NodeId p = h.topo.add_node("p");
+  NodeId q = h.topo.add_node("q");
+  NodeId r = h.topo.add_node("r");
+  NodeId t = h.topo.add_node("t");
+  h.topo.add_link(p, q, 10, 0.0);  // X
+  h.topo.add_link(r, t, 10, 0.0);  // Z
+  h.topo.add_link(q, r, 10, 0.0);  // Y
+  h.init();
+  const FlowId on_x[] = {h.start(p, q, 1'000'000), h.start(p, q, 1'000'000),
+                         h.start(p, r, 1'000'000)};  // the last crosses Y
+  const FlowId e = h.start(q, r, 1'000'000);
+  const FlowId g = h.start(q, t, 1'000'000);  // crosses Y and Z
+  const FlowId on_z[] = {h.start(r, t, 1'000'000), h.start(r, t, 1'000'000)};
+  for (int i = 0; i < 7; ++i) ASSERT_TRUE(h.step());  // t=0 activations
+
+  for (FlowId id : on_x) EXPECT_EQ(bits(h.flows->flow_rate(id)), bits(s));
+  EXPECT_EQ(bits(h.flows->flow_rate(e)), bits(rest));
+  EXPECT_EQ(bits(h.flows->flow_rate(g)), bits(rest));
+  const double z_rest = (10.0 - rest) / 2;
+  for (FlowId id : on_z)
+    EXPECT_EQ(bits(h.flows->flow_rate(id)), bits(z_rest));
+  h.run_all();
+  EXPECT_EQ(h.flows->completed_flows(), 7u);
 }
 
 // --- Grid-level eviction-churn stress under the auditor -------------------

@@ -51,6 +51,21 @@ TEST(Topology, NonPositiveBandwidthRejected) {
   EXPECT_THROW(t.add_link(a, b, 0, 0), std::logic_error);
 }
 
+TEST(Topology, RejectsNonFiniteLink) {
+  // +inf satisfies `bandwidth > 0` and `latency >= 0`; NaN satisfies
+  // neither comparison's negation. All three must be rejected.
+  Topology t;
+  NodeId a = t.add_node("a");
+  NodeId b = t.add_node("b");
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(t.add_link(a, b, inf, 0), std::logic_error);
+  EXPECT_THROW(t.add_link(a, b, nan, 0), std::logic_error);
+  EXPECT_THROW(t.add_link(a, b, 1e6, inf), std::logic_error);
+  EXPECT_THROW(t.add_link(a, b, 1e6, nan), std::logic_error);
+  EXPECT_EQ(t.num_links(), 0u);
+}
+
 TEST(Topology, RouteOnLine) {
   Topology t = line3();
   const Route& r = t.route(NodeId(0), NodeId(2));

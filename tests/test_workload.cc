@@ -229,7 +229,8 @@ TEST(Coadd, ScalesToOtherTaskCounts) {
 }
 
 TEST(Coadd, RejectsInfiniteComputeCost) {
-  // An INI `mflop_per_file = inf` parses (std::stod accepts "inf").
+  // ConfigFile::get_double rejects `inf`, but CoaddParams built in code
+  // can still carry one; generate_coadd must catch it on its own.
   CoaddParams p;
   p.num_tasks = 10;
   p.mflop_per_file = std::stod("inf");
