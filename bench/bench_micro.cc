@@ -167,7 +167,9 @@ void BM_ReallocateSharedUplink(benchmark::State& state) {
 BENCHMARK(BM_ReallocateSharedUplink)->Arg(100)->Arg(1000);
 
 void BM_CacheChurn(benchmark::State& state) {
-  storage::FileCache cache(6000, storage::EvictionPolicy::kLru);
+  const storage::BlockMap map(workload::FileCatalog(20000, megabytes(25.0)),
+                              storage::BlockStoreParams{});
+  storage::FileCache cache(map, 6000, storage::EvictionPolicy::kLru);
   unsigned i = 0;
   for (auto _ : state) {
     FileId f(i % 20000);
@@ -179,33 +181,32 @@ void BM_CacheChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheChurn);
 
-// Cost of the pin -> insert -> unpin cycle (one per scheduled task) in
-// both cache modes, over a catalog of N overlapping coadd-window files.
-// Whole-file mode is the pre-block-store reference; block mode adds the
-// extent-union refcount walk per transition. The `bytes_saved` counter
-// reports the dedup savings block mode banks over the run (always 0 in
-// whole-file mode) — the wall-time delta is the price of those bytes.
-void BM_BlockPin(benchmark::State& state, bool block_mode) {
-  const std::size_t kFiles = static_cast<std::size_t>(state.range(0));
+// Cost of the pin -> insert -> unpin cycle (one per scheduled task) over
+// a catalog of N coadd-window files, at content overlap 0 (disjoint
+// extents: the paper's file-count law) and 0.5 (adjacent windows share
+// half their blocks, so every transition walks the extent neighbours).
+// Args: overlap in percent, catalog files. The `bytes_saved` counter
+// reports the dedup savings banked over the run (0 at overlap 0) — the
+// wall-time delta between the two overlaps is the price of those bytes.
+void BM_BlockPin(benchmark::State& state) {
+  const std::size_t kFiles = static_cast<std::size_t>(state.range(1));
   workload::FileCatalog catalog(kFiles, megabytes(25.0));
   storage::BlockStoreParams bp;
-  bp.content_overlap = 0.5;  // adjacent coadd windows share half their blocks
+  bp.content_overlap = static_cast<double>(state.range(0)) / 100.0;
   storage::BlockMap map(catalog, bp);
-
-  storage::FileCache cache(kFiles / 4, storage::EvictionPolicy::kLru);
-  if (block_mode) cache.attach_block_store(&map);
+  storage::FileCache cache(map, kFiles / 4, storage::EvictionPolicy::kLru);
 
   // Cyclic sweep over a catalog 4x the cache: every touch past the first
   // lap misses (a scan defeats LRU), so each op pays insert + eviction +
-  // pin + unpin, and in block mode the freshly-evicted neighbour's shared
+  // pin + unpin; under overlap the freshly-evicted neighbour's shared
   // blocks are re-covered by the adjacent resident on the next insert.
   double saved = 0;
   unsigned i = 0;
   for (auto _ : state) {
-    FileId f(i % kFiles);
+    FileId f(static_cast<FileId::underlying_type>(i % kFiles));
     if (!cache.contains(f)) {
-      if (block_mode) saved += static_cast<double>(cache.file_bytes(f)) -
-                               static_cast<double>(cache.missing_bytes(f));
+      saved += static_cast<double>(cache.file_bytes(f)) -
+               static_cast<double>(cache.missing_bytes(f));
       cache.insert(f);
     }
     cache.pin(f);
@@ -218,14 +219,7 @@ void BM_BlockPin(benchmark::State& state, bool block_mode) {
   state.counters["bytes_saved"] =
       benchmark::Counter(saved, benchmark::Counter::kDefaults);
 }
-void BM_BlockPin_whole(benchmark::State& state) {
-  BM_BlockPin(state, /*block_mode=*/false);
-}
-void BM_BlockPin_block(benchmark::State& state) {
-  BM_BlockPin(state, /*block_mode=*/true);
-}
-BENCHMARK(BM_BlockPin_whole)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_BlockPin_block)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_BlockPin)->ArgsProduct({{0, 50}, {10000, 100000}});
 
 void BM_SchedulerWeightScan(benchmark::State& state) {
   // Full worker-centric request cycle cost on a paper-scale pending set.

@@ -89,12 +89,6 @@ void check_flow_rates(const FlowRatesSnapshot& snap,
 
 void check_cache_coherence(const CacheAuditSnapshot& snap,
                            std::vector<Violation>& out) {
-  if (snap.occupancy > snap.capacity) {
-    std::ostringstream os;
-    os << snap.label << " over capacity: " << snap.occupancy
-       << " resident files > capacity " << snap.capacity;
-    report(out, "cache-coherence", os);
-  }
   if (snap.pinned > snap.occupancy) {
     std::ostringstream os;
     os << snap.label << " pins " << snap.pinned << " files but only "

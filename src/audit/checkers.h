@@ -10,8 +10,10 @@
 //   flow-conservation   per-link allocation <= capacity; per-flow byte
 //                       accounting; started = delivered + in-flight +
 //                       cancelled remainder
-//   cache-coherence     occupancy <= capacity; pinned <= occupancy;
-//                       LRU/FIFO/MinRef order<->entry structure sound
+//   cache-coherence     pinned <= occupancy; LRU/FIFO/MinRef
+//                       order<->entry structure sound (capacity is a
+//                       block law: a dedup cache holds more files than
+//                       its file-count capacity)
 //   block-store         physical/pinned block counters == extent-union
 //                       recounts; pinned <= physical <= capacity; union
 //                       <= per-file block-ref sum
@@ -85,7 +87,6 @@ void check_flow_rates(const FlowRatesSnapshot& snap,
 struct CacheAuditSnapshot {
   std::string label;  // e.g. "site 3 data server"
   std::size_t occupancy = 0;
-  std::size_t capacity = 0;
   std::size_t pinned = 0;                // resident files with pin_count > 0
   std::vector<std::string> structural;   // defects found by the cache itself
 };
@@ -93,10 +94,10 @@ struct CacheAuditSnapshot {
 void check_cache_coherence(const CacheAuditSnapshot& snap,
                            std::vector<Violation>& out);
 
-// Block-store page accounting (block-mode caches only). The FileCache
-// produces the snapshot (block_audit_snapshot): the incrementally
-// maintained physical/pinned block counters next to a from-scratch
-// recount over the resident files' extents (page books vs cache books),
+// Block-store page accounting. The FileCache produces the snapshot
+// (block_audit_snapshot): the incrementally maintained physical/pinned
+// block counters next to a from-scratch recount over the resident
+// files' extents (page books vs cache books),
 // plus the block-ref conservation pair — the union of resident extents
 // can never exceed the per-file block sum, and the gap between them is
 // exactly the deduplicated (shared) block count.

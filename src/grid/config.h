@@ -40,10 +40,11 @@ struct GridConfig {
   // bytes in fixed-size blocks, and files whose content overlaps
   // (BlockStoreParams::content_overlap > 0) share physical blocks, so
   // demand fetches and replicas ship only the blocks a site is missing.
-  // Engaged by default with overlap 0, where block accounting is
-  // provably byte-identical to whole-file accounting on uniform
-  // catalogs; reset to std::nullopt (scenario CLI: --whole-file-cache)
-  // for the reference whole-file mode.
+  // At the default overlap 0 block accounting reduces exactly to the
+  // paper's file-count capacity law on uniform catalogs. Always required:
+  // the std::optional wrapper remains only so callers that .emplace() it
+  // (perfbench/src/workloads.cc) keep compiling; validate_config rejects
+  // std::nullopt.
   std::optional<storage::BlockStoreParams> block_store =
       storage::BlockStoreParams{};
 
@@ -104,12 +105,15 @@ struct GridConfig {
   }
 };
 
-// A configuration is only meaningful if every task's working set fits,
-// including everything pinned by the site's concurrently active tasks —
-// otherwise assumption 5 of the paper's model (all files resident during
-// execution) is unsatisfiable.
+// A configuration is only meaningful if it names a block layout and
+// every task's working set fits, including everything pinned by the
+// site's concurrently active tasks — otherwise assumption 5 of the
+// paper's model (all files resident during execution) is unsatisfiable.
 inline void validate_config(const GridConfig& config,
                             const workload::Job& job) {
+  WCS_CHECK_MSG(config.block_store.has_value(),
+                "block_store must be set: the block store is the only "
+                "cache accounting");
   std::size_t max_files = 0;
   for (const workload::Task& t : job.tasks())
     max_files = std::max(max_files, t.files.size());

@@ -63,10 +63,6 @@ class DataPlane {
   [[nodiscard]] const replication::DataReplicator* replicator() const {
     return replicator_.get();
   }
-  // Shared block layout of the catalog; nullptr in whole-file mode.
-  [[nodiscard]] const storage::BlockMap* block_map() const {
-    return block_map_.get();
-  }
 
   // Start/stop the optional proactive replicator (no-ops when disabled).
   void start_replication();

@@ -34,8 +34,8 @@
 //       sojourn_p95_s, sojourn_p99_s: number >= 0,
 //       time_to_first_task_s: number >= -1 (-1 = never assigned) } ]
 // and optional block-store dedup fields on a scheduler row (emitted
-// together, only when the run actually deduplicated bytes; whole-file
-// rows keep the exact v1 shape):
+// together, only when the run actually deduplicated bytes; rows without
+// dedup keep the exact v1 shape):
 //   schedulers[i].total_gigabytes_saved   number >= 0
 //   schedulers[i].dedup_ratio             number >= 1
 // The validator accepts both versions; tenant sections or dedup fields
@@ -68,7 +68,7 @@ struct ReportRow {
   double transfer_hours_per_site = 0;
   double replicas_started = 0;
   // Schema v2: block-store dedup series, written only when
-  // total_gigabytes_saved > 0 (whole-file runs keep the v1 row shape).
+  // total_gigabytes_saved > 0 (runs without dedup keep the v1 row shape).
   double total_gigabytes_saved = 0;
   double dedup_ratio = 1.0;
   // Schema v2: per-tenant sections (empty for closed-batch benches).

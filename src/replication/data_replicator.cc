@@ -26,14 +26,12 @@ bool parse_placement(std::string_view name, Placement* out) {
 DataReplicator::DataReplicator(const DataReplicatorParams& params,
                                sim::Simulator& sim, net::FlowManager& flows,
                                NodeId file_server_node,
-                               const workload::FileCatalog& catalog,
                                std::vector<storage::DataServer*> data_servers,
                                std::vector<SiteNetInfo> site_info)
     : params_(params),
       sim_(sim),
       flows_(flows),
       file_server_node_(file_server_node),
-      catalog_(catalog),
       data_servers_(std::move(data_servers)),
       site_info_(std::move(site_info)),
       rng_(params.seed) {
@@ -77,9 +75,7 @@ void DataReplicator::on_file_fetched(FileId file, SiteId origin) {
 }
 
 Bytes DataReplicator::replica_bytes(FileId file, std::size_t target) const {
-  const storage::FileCache& cache = data_servers_[target]->cache();
-  return cache.block_mode() ? cache.missing_bytes(file)
-                            : catalog_.size(file);
+  return data_servers_[target]->cache().missing_bytes(file);
 }
 
 SiteId DataReplicator::pick_target(FileId file) {
@@ -180,13 +176,13 @@ void DataReplicator::scan() {
     replicated_.insert(file);
     storage::DataServer* ds = data_servers_[target.value()];
     FileId f = file;
-    // Priced at flow start (block mode ships only uncovered blocks), and
-    // the completion callback books that same amount so the results
-    // ledger matches the flow manager byte for byte.
-    const double moved =
-        static_cast<double>(replica_bytes(file, target.value()));
+    // Priced at flow start (only uncovered blocks ship), and the
+    // completion callback books that same amount so the results ledger
+    // matches the flow manager byte for byte.
+    const Bytes bytes = replica_bytes(file, target.value());
+    const auto moved = static_cast<double>(bytes);
     FlowId flow = flows_.start_flow(
-        file_server_node_, ds->node(), replica_bytes(file, target.value()),
+        file_server_node_, ds->node(), bytes,
         [this, ds, f, moved](FlowId id) {
           in_flight_.erase(id);
           // The demand path may have fetched it meanwhile; and a cache

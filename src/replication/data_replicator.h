@@ -85,7 +85,6 @@ class DataReplicator {
   // random/least-loaded policies never read it).
   DataReplicator(const DataReplicatorParams& params, sim::Simulator& sim,
                  net::FlowManager& flows, NodeId file_server_node,
-                 const workload::FileCatalog& catalog,
                  std::vector<storage::DataServer*> data_servers,
                  std::vector<SiteNetInfo> site_info = {});
 
@@ -116,15 +115,14 @@ class DataReplicator {
   // (every site already holds it).
   [[nodiscard]] SiteId pick_target(FileId file);
 
-  // Bytes a replica of `file` at `target` would actually move (block
-  // mode prices only the blocks the target does not already cover).
+  // Bytes a replica of `file` at `target` would actually move: only the
+  // blocks the target does not already cover.
   [[nodiscard]] Bytes replica_bytes(FileId file, std::size_t target) const;
 
   DataReplicatorParams params_;
   sim::Simulator& sim_;
   net::FlowManager& flows_;
   NodeId file_server_node_;
-  const workload::FileCatalog& catalog_;
   std::vector<storage::DataServer*> data_servers_;
   std::vector<SiteNetInfo> site_info_;  // site order; same size as servers
   std::uint32_t num_groups_ = 1;

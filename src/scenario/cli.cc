@@ -25,7 +25,6 @@ struct CliOptions {
   RunOptions run;
   bool list = false;
   bool dump = false;
-  bool whole_file = false;   // --whole-file-cache: reference data plane
   double block_size_mb = 0;  // --block-size: override, MB (0 = spec's)
   std::string replication;   // --replication-policy: none|random|...
   // Open-system workload-plane overrides (empty = leave the spec alone).
@@ -120,8 +119,6 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
       no_report = true;
     } else if (arg == "--trace-out") {
       opt.run.trace_out = next();
-    } else if (arg == "--whole-file-cache") {
-      opt.whole_file = true;
     } else if (arg == "--block-size") {
       opt.block_size_mb = parse_number<double>(arg, next());
       if (opt.block_size_mb <= 0) usage_error("--block-size must be > 0 MB");
@@ -138,7 +135,7 @@ CliOptions parse(const std::string& default_scenario, int argc, char** argv) {
                    "--dump-scenario [NAME]\n         --tasks N --seeds K "
                    "--jobs N --csv PATH --fast --audit\n         --report "
                    "PATH --no-report --trace-out PATH\n"
-                   "         --whole-file-cache --block-size MB\n"
+                   "         --block-size MB\n"
                    "         --replication-policy none|random|least-loaded|"
                    "hierarchical|network-cost\n"
                    "         --workload NAME --tenants N|W1,W2,... "
@@ -195,19 +192,10 @@ int scenario_main(const std::string& default_scenario, int argc,
   build.fast = opt.fast;
   ScenarioSpec spec = build_scenario(opt.scenario, build);
 
-  // --whole-file-cache: the reference data plane — caches account whole
-  // files, no block sharing. Byte-identical to block mode at content
-  // overlap 0 (the default); the escape hatch pins that equivalence and
-  // serves as the dedup baseline. --block-size resizes the block grid.
-  if (opt.whole_file && opt.block_size_mb > 0)
-    usage_error("--whole-file-cache and --block-size are mutually exclusive");
-  if (opt.whole_file) {
-    spec.base_config.block_store.reset();
-    for (Point& pt : spec.points) pt.config.block_store.reset();
-  } else if (opt.block_size_mb > 0) {
+  // --block-size resizes the block grid of every site cache.
+  if (opt.block_size_mb > 0) {
     auto resize = [&](grid::GridConfig& c) {
-      if (!c.block_store) c.block_store.emplace();
-      c.block_store->block_size = megabytes(opt.block_size_mb);
+      c.block_store.value().block_size = megabytes(opt.block_size_mb);
     };
     resize(spec.base_config);
     for (Point& pt : spec.points) resize(pt.config);

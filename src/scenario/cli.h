@@ -26,13 +26,9 @@
 //                     generator this implies --workload multi-tenant
 //   --arrival P       arrival process: t0 (closed, default), poisson,
 //                     diurnal, or bursty
-//   --whole-file-cache  account site caches in whole files (the
-//                     pre-block-store reference) instead of the default
-//                     block-granular store (storage/block_store.h); at
-//                     content overlap 0 totals are byte-identical either
-//                     way (docs/data-plane.md); excludes --block-size
-//   --block-size MB   block size for the block-granular store (default
-//                     1 MB); observable only under content overlap
+//   --block-size MB   block size of the block-granular site caches
+//                     (storage/block_store.h; default 1 MB); observable
+//                     only under content overlap (docs/data-plane.md)
 //   --replication-policy P  replica placement: none (disable), random,
 //                     least-loaded, hierarchical, or network-cost
 //                     (replication/data_replicator.h)

@@ -24,14 +24,10 @@ void write_config(obs::JsonWriter& w, const grid::GridConfig& c) {
   w.member("eviction", storage::to_string(c.eviction));
   w.member("estimate_error", c.estimate_error);
   w.key("block_store");
-  if (c.block_store) {
-    w.begin_object();
-    w.member("block_size_mb", to_megabytes(c.block_store->block_size));
-    w.member("content_overlap", c.block_store->content_overlap);
-    w.end_object();
-  } else {
-    w.null();  // whole-file reference mode
-  }
+  w.begin_object();
+  w.member("block_size_mb", to_megabytes(c.block_store.value().block_size));
+  w.member("content_overlap", c.block_store.value().content_overlap);
+  w.end_object();
   w.key("churn");
   if (c.churn) {
     w.begin_object();

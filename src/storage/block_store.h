@@ -15,11 +15,11 @@
 //   file f covers the global blocks [f*stride, f*stride + n)
 //
 // With content_overlap == 0 the stride equals n, extents are disjoint,
-// and block accounting is provably byte-identical to whole-file caching
-// (the golden-run suite pins this). With overlap > 0, neighbouring files
-// share `n - stride` blocks, so a cache that already holds file f only
-// needs the non-shared tail of file f+1 — missing_bytes() is what the
-// data server actually transfers.
+// and block accounting reduces exactly to the paper's file-count
+// capacity law (the golden-run suite pins the totals). With overlap > 0,
+// neighbouring files share `n - stride` blocks, so a cache that already
+// holds file f only needs the non-shared tail of file f+1 —
+// missing_bytes() is what the data server actually transfers.
 //
 // Heterogeneous catalogs (the file-size ablation, unit tests) get
 // disjoint per-file extents: content overlap is a property of the
@@ -48,8 +48,8 @@ struct BlockStoreParams {
   Bytes block_size = megabytes(1.0);
 
   // Fraction of a file's blocks shared with each adjacent file id
-  // (uniform catalogs only). 0 = disjoint extents, byte-identical to
-  // whole-file caching; 0.5 = consecutive files share half their blocks.
+  // (uniform catalogs only). 0 = disjoint extents, the paper's
+  // file-count law; 0.5 = consecutive files share half their blocks.
   double content_overlap = 0.0;
 };
 
@@ -80,9 +80,6 @@ class BlockMap {
   [[nodiscard]] Bytes block_bytes(FileId f, std::uint32_t index) const;
 
   [[nodiscard]] Bytes block_size() const { return params_.block_size; }
-  [[nodiscard]] double content_overlap() const {
-    return params_.content_overlap;
-  }
   [[nodiscard]] std::size_t num_files() const { return num_files_; }
   [[nodiscard]] std::uint64_t num_blocks() const { return num_blocks_; }
 

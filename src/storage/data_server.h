@@ -30,7 +30,6 @@
 #include "net/flow_manager.h"
 #include "sim/simulator.h"
 #include "storage/file_cache.h"
-#include "workload/job.h"
 
 namespace wcs::storage {
 
@@ -47,22 +46,21 @@ class DataServer {
     std::uint64_t file_transfers = 0;  // fetches from the file server
     double bytes_transferred = 0;
     std::uint64_t cache_hits = 0;      // files already resident at service
-    // Block mode: bytes a demand fetch did NOT move because blocks shared
-    // with resident files were already on site (0 in whole-file mode).
+    // Bytes a demand fetch did NOT move because blocks shared with
+    // resident files were already on site (0 at content overlap 0).
     double bytes_saved = 0;
   };
 
+  // `blocks` is the catalog's block layout; it must outlive the server.
   DataServer(SiteId site, sim::Simulator& simulator, net::FlowManager& flows,
-             NodeId self_node, NodeId file_server_node,
-             const workload::FileCatalog& catalog, std::size_t capacity_files,
-             EvictionPolicy policy)
+             NodeId self_node, NodeId file_server_node, const BlockMap& blocks,
+             std::size_t capacity_files, EvictionPolicy policy)
       : site_(site),
         sim_(simulator),
         flows_(flows),
         node_(self_node),
         file_server_node_(file_server_node),
-        catalog_(catalog),
-        cache_(capacity_files, policy) {}
+        cache_(blocks, capacity_files, policy) {}
 
   DataServer(const DataServer&) = delete;
   DataServer& operator=(const DataServer&) = delete;
@@ -137,7 +135,6 @@ class DataServer {
   net::FlowManager& flows_;
   NodeId node_;
   NodeId file_server_node_;
-  const workload::FileCatalog& catalog_;
   FileCache cache_;
   std::deque<Batch*> queue_;
   Batch* current_ = nullptr;

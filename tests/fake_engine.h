@@ -1,6 +1,7 @@
 // A minimal in-memory GridEngine for scheduler unit tests: caches are
-// plain FileCaches the test mutates directly; assignments and
-// cancellations are recorded instead of simulated.
+// plain FileCaches (over a uniform block map of the job's file count) the
+// test mutates directly; assignments and cancellations are recorded
+// instead of simulated.
 #pragma once
 
 #include <map>
@@ -10,6 +11,7 @@
 
 #include "sched/scheduler.h"
 #include "storage/file_cache.h"
+#include "uniform_block_map.h"
 #include "workload/job.h"
 
 namespace wcs::sched::testing {
@@ -19,10 +21,15 @@ class FakeEngine final : public GridEngine {
   FakeEngine(const workload::Job& job, std::size_t num_sites,
              std::size_t workers_per_site, std::size_t capacity = 1000,
              storage::EvictionPolicy policy = storage::EvictionPolicy::kLru)
-      : job_(job), workers_per_site_(workers_per_site) {
+      : job_(job),
+        workers_per_site_(workers_per_site),
+        blocks_(storage::uniform_block_map(job.catalog.num_files())) {
     for (std::size_t s = 0; s < num_sites; ++s)
-      caches_.emplace_back(capacity, policy);
+      caches_.emplace_back(blocks_, capacity, policy);
   }
+  // The caches hold a reference to blocks_.
+  FakeEngine(const FakeEngine&) = delete;
+  FakeEngine& operator=(const FakeEngine&) = delete;
 
   [[nodiscard]] const workload::Job& job() const override { return job_; }
   [[nodiscard]] std::size_t num_sites() const override {
@@ -75,6 +82,7 @@ class FakeEngine final : public GridEngine {
  private:
   const workload::Job& job_;
   std::size_t workers_per_site_;
+  storage::BlockMap blocks_;
   std::vector<storage::FileCache> caches_;
 };
 

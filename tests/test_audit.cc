@@ -17,6 +17,7 @@
 #include "sched/worker_centric.h"
 #include "storage/file_cache.h"
 #include "fake_engine.h"
+#include "uniform_block_map.h"
 #include "workload/job.h"
 
 namespace wcs::audit {
@@ -94,21 +95,8 @@ TEST(FlowConservation, DetectsLedgerImbalance) {
 
 // --- cache coherence ----------------------------------------------------
 
-TEST(CacheCoherence, DetectsOverCapacity) {
-  CacheAuditSnapshot s;
-  s.label = "site 3 data server";
-  s.capacity = 100;
-  s.occupancy = 101;
-  auto v = run_checker([&](auto& out) { check_cache_coherence(s, out); });
-  ASSERT_EQ(v.size(), 1u);
-  EXPECT_EQ(v[0].checker, "cache-coherence");
-  EXPECT_TRUE(mentions(v, "over capacity"));
-  EXPECT_TRUE(mentions(v, "site 3 data server"));
-}
-
 TEST(CacheCoherence, DetectsPhantomPins) {
   CacheAuditSnapshot s;
-  s.capacity = 100;
   s.occupancy = 2;
   s.pinned = 3;
   auto v = run_checker([&](auto& out) { check_cache_coherence(s, out); });
@@ -118,7 +106,6 @@ TEST(CacheCoherence, DetectsPhantomPins) {
 
 TEST(CacheCoherence, ForwardsStructuralDefects) {
   CacheAuditSnapshot s;
-  s.capacity = 100;
   s.occupancy = 10;
   s.structural.push_back("order list misses file 7");
   auto v = run_checker([&](auto& out) { check_cache_coherence(s, out); });
@@ -140,6 +127,22 @@ TEST(BlockStore, DetectsCounterDriftFromRecount) {
   EXPECT_EQ(v[0].checker, "block-store");
   EXPECT_TRUE(mentions(v, "extent-union recount"));
   EXPECT_TRUE(mentions(v, "site 2 block store"));
+}
+
+// Capacity is a block law: a dedup cache legally holds more files than
+// its file-count capacity, so only the physical block count is bounded.
+TEST(BlockStore, DetectsOverCapacity) {
+  BlockStoreAuditSnapshot s;
+  s.label = "site 3 block store";
+  s.capacity_blocks = 100;
+  s.physical_blocks = 101;
+  s.recount_physical = 101;
+  s.file_block_refs = 101;
+  auto v = run_checker([&](auto& out) { check_block_store(s, out); });
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0].checker, "block-store");
+  EXPECT_TRUE(mentions(v, "over capacity"));
+  EXPECT_TRUE(mentions(v, "site 3 block store"));
 }
 
 TEST(BlockStore, DetectsPinnedExceedingPhysicalAndOverCapacity) {
@@ -177,10 +180,11 @@ TEST(BlockStore, ForwardsStructuralDefects) {
 }
 
 TEST(CacheCoherence, LiveCacheSnapshotIsClean) {
+  const storage::BlockMap blocks = storage::uniform_block_map();
   for (auto policy :
        {storage::EvictionPolicy::kLru, storage::EvictionPolicy::kFifo,
         storage::EvictionPolicy::kMinRef}) {
-    storage::FileCache cache(3, policy);
+    storage::FileCache cache(blocks, 3, policy);
     for (unsigned f = 0; f < 5; ++f) {  // exercises eviction
       cache.insert(FileId(f));
       cache.record_access(FileId(f));
@@ -188,7 +192,6 @@ TEST(CacheCoherence, LiveCacheSnapshotIsClean) {
     cache.pin(FileId(4));
     CacheAuditSnapshot s = cache.audit_snapshot("test cache");
     EXPECT_EQ(s.occupancy, 3u);
-    EXPECT_EQ(s.capacity, 3u);
     EXPECT_EQ(s.pinned, 1u);
     EXPECT_TRUE(s.structural.empty());
     auto v =

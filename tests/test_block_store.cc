@@ -1,9 +1,11 @@
-// Block-level data plane: BlockMap layout laws, FileCache block-mode
-// refcount accounting, the whole-file/block-mode equivalence at content
-// overlap 0 (mirrored churn over 7 seeds), the block-store audit
-// checker, and an end-to-end dedup run (docs/data-plane.md).
+// Block-level data plane: BlockMap layout laws, FileCache block
+// refcount accounting, its reduction to the paper's file-count law at
+// content overlap 0 (mirrored churn against a whole-file model over 7
+// seeds), the block-store audit checker, and end-to-end dedup runs
+// (docs/data-plane.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -51,7 +53,7 @@ TEST(BlockMapLayout, DisjointUniformExtents) {
 
 TEST(BlockMapLayout, DisjointTailBlockCarriesTheRemainder) {
   // 25.5 MB files: 26 blocks, the last holding 0.5 MB — file_bytes must
-  // stay EXACT so whole-file and block transfers agree byte for byte.
+  // stay EXACT so an overlap-0 fetch moves the catalog size byte for byte.
   auto catalog = uniform_catalog(4, 25.5);
   BlockMap map(catalog, overlap_params(0.0));
   EXPECT_EQ(map.blocks(FileId(0)), 26u);
@@ -110,9 +112,7 @@ TEST(BlockMapLayout, ZeroByteFileOccupiesOneEmptyBlock) {
 TEST(FileCacheBlocks, SharedBlocksAreHeldOnceAndEvictionFreesExclusive) {
   auto catalog = uniform_catalog();
   BlockMap map(catalog, overlap_params(0.5));
-  FileCache cache(2, EvictionPolicy::kLru);
-  cache.attach_block_store(&map);
-  ASSERT_TRUE(cache.block_mode());
+  FileCache cache(map, 2, EvictionPolicy::kLru);
   EXPECT_EQ(cache.capacity_blocks(), 48u);  // 2 files x 24 blocks
 
   cache.insert(FileId(0));
@@ -138,8 +138,7 @@ TEST(FileCacheBlocks, SharedBlocksAreHeldOnceAndEvictionFreesExclusive) {
 TEST(FileCacheBlocks, MissingBytesCountsOnlyUncoveredBlocks) {
   auto catalog = uniform_catalog();
   BlockMap map(catalog, overlap_params(0.5));
-  FileCache cache(4, EvictionPolicy::kLru);
-  cache.attach_block_store(&map);
+  FileCache cache(map, 4, EvictionPolicy::kLru);
 
   EXPECT_EQ(cache.missing_bytes(FileId(2)), megabytes(24.0));
   cache.insert(FileId(1));
@@ -158,8 +157,7 @@ TEST(FileCacheBlocks, MissingBytesCountsOnlyUncoveredBlocks) {
 TEST(FileCacheBlocks, PinnedBlockCounterTracksPinTransitions) {
   auto catalog = uniform_catalog();
   BlockMap map(catalog, overlap_params(0.5));
-  FileCache cache(4, EvictionPolicy::kLru);
-  cache.attach_block_store(&map);
+  FileCache cache(map, 4, EvictionPolicy::kLru);
 
   cache.insert(FileId(0));
   cache.insert(FileId(1));
@@ -181,8 +179,7 @@ TEST(FileCacheBlocks, PinnedBlockCounterTracksPinTransitions) {
 TEST(FileCacheBlocks, InsertRoomIsExactAgainstPinnedCoverage) {
   auto catalog = uniform_catalog();
   BlockMap map(catalog, overlap_params(0.5));
-  FileCache cache(2, EvictionPolicy::kLru);
-  cache.attach_block_store(&map);
+  FileCache cache(map, 2, EvictionPolicy::kLru);
 
   cache.insert(FileId(0));
   cache.pin(FileId(0));
@@ -201,8 +198,7 @@ TEST(FileCacheBlocks, InsertRoomIsExactAgainstPinnedCoverage) {
 TEST(FileCacheBlocks, AuditSnapshotMatchesIncrementalCounters) {
   auto catalog = uniform_catalog();
   BlockMap map(catalog, overlap_params(0.5));
-  FileCache cache(3, EvictionPolicy::kLru);
-  cache.attach_block_store(&map);
+  FileCache cache(map, 3, EvictionPolicy::kLru);
   Rng rng(99);
   std::vector<int> pins(catalog.num_files(), 0);
   for (int op = 0; op < 4000; ++op) {
@@ -240,10 +236,61 @@ TEST(FileCacheBlocks, AuditSnapshotMatchesIncrementalCounters) {
   }
 }
 
-// The equivalence gate behind the block-mode default: at content overlap
-// 0 on a uniform catalog, a block-mode cache and a whole-file cache make
-// IDENTICAL decisions under arbitrary insert/access/pin/unpin churn —
-// same residents, same victims in the same order, same room answers.
+// File-count reference cache: the paper's capacity law (Table 1) with
+// FileCache's victim rules — LRU/FIFO evict the first unpinned file in
+// eviction order (LRU re-queues on access), MinRef the unpinned file with
+// the fewest past references, lowest id on ties. Test oracle only.
+struct WholeFileModel {
+  std::size_t capacity;
+  EvictionPolicy policy;
+  std::vector<int> refs;  // per file id; persists across eviction
+  std::vector<int> pins;  // per file id
+  std::vector<FileId> order;  // residents in eviction order, head first
+  std::vector<FileId> victims;
+
+  [[nodiscard]] bool contains(FileId f) const {
+    return std::find(order.begin(), order.end(), f) != order.end();
+  }
+  [[nodiscard]] bool has_insert_room() const {
+    return order.size() < capacity ||
+           std::any_of(order.begin(), order.end(),
+                       [&](FileId f) { return pins[f.value()] == 0; });
+  }
+  bool try_insert(FileId f) {
+    if (!has_insert_room()) return false;
+    while (order.size() >= capacity) evict_one();
+    order.push_back(f);
+    return true;
+  }
+  void record_access(FileId f) {
+    ++refs[f.value()];
+    if (policy != EvictionPolicy::kLru) return;
+    order.erase(std::find(order.begin(), order.end(), f));
+    order.push_back(f);
+  }
+  // Called only when has_insert_room() held: an unpinned victim exists.
+  void evict_one() {
+    auto victim = order.end();
+    for (auto it = order.begin(); it != order.end(); ++it) {
+      if (pins[it->value()] > 0) continue;
+      if (victim == order.end()) {
+        victim = it;
+        if (policy != EvictionPolicy::kMinRef) break;
+      } else if (refs[it->value()] < refs[victim->value()] ||
+                 (refs[it->value()] == refs[victim->value()] &&
+                  *it < *victim)) {
+        victim = it;
+      }
+    }
+    victims.push_back(*victim);
+    order.erase(victim);
+  }
+};
+
+// The block store's reduction to the paper's law: at content overlap 0
+// on a uniform catalog, a FileCache makes the decisions of the
+// file-count model under arbitrary insert/access/pin/unpin churn — same
+// residents, same victims in the same order, same room answers.
 TEST(FileCacheBlocks, MirroredChurnMatchesWholeFileAtOverlapZero) {
   auto catalog = uniform_catalog(60, 25.0);
   BlockMap map(catalog, overlap_params(0.0));
@@ -251,25 +298,20 @@ TEST(FileCacheBlocks, MirroredChurnMatchesWholeFileAtOverlapZero) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     for (auto policy : {EvictionPolicy::kLru, EvictionPolicy::kFifo,
                         EvictionPolicy::kMinRef}) {
-      FileCache whole(5, policy);
-      FileCache block(5, policy);
-      block.attach_block_store(&map);
-      std::vector<FileId> whole_victims;
+      const std::vector<int> zeros(catalog.num_files(), 0);
+      WholeFileModel whole{5, policy, zeros, zeros, {}, {}};
+      FileCache block(map, 5, policy);
       std::vector<FileId> block_victims;
-      whole.set_listener([&](CacheEvent e, FileId f) {
-        if (e == CacheEvent::kEvicted) whole_victims.push_back(f);
-      });
       block.set_listener([&](CacheEvent e, FileId f) {
         if (e == CacheEvent::kEvicted) block_victims.push_back(f);
       });
 
       Rng rng(seed * 1000003ULL + static_cast<std::uint64_t>(policy));
-      std::vector<int> pins(catalog.num_files(), 0);
       for (int op = 0; op < 3000; ++op) {
         const FileId f(static_cast<FileId::underlying_type>(
             rng.index(catalog.num_files())));
         ASSERT_EQ(whole.contains(f), block.contains(f));
-        ASSERT_EQ(whole.has_insert_room(f), block.has_insert_room(f));
+        ASSERT_EQ(whole.has_insert_room(), block.has_insert_room(f));
         switch (rng.index(4)) {
           case 0:
             if (!whole.contains(f)) {
@@ -283,24 +325,23 @@ TEST(FileCacheBlocks, MirroredChurnMatchesWholeFileAtOverlapZero) {
             }
             break;
           case 2:
-            if (whole.contains(f) && pins[f.value()] < 2) {
-              whole.pin(f);
+            if (whole.contains(f) && whole.pins[f.value()] < 2) {
+              ++whole.pins[f.value()];
               block.pin(f);
-              ++pins[f.value()];
             }
             break;
           default:
-            if (pins[f.value()] > 0) {
-              whole.unpin(f);
+            if (whole.pins[f.value()] > 0) {
+              --whole.pins[f.value()];
               block.unpin(f);
-              --pins[f.value()];
             }
             break;
         }
       }
-      EXPECT_EQ(whole.contents(), block.contents());
-      EXPECT_EQ(whole.evictions(), block.evictions());
-      EXPECT_EQ(whole_victims, block_victims);
+      std::sort(whole.order.begin(), whole.order.end());
+      EXPECT_EQ(whole.order, block.contents());
+      EXPECT_EQ(whole.victims.size(), block.evictions());
+      EXPECT_EQ(whole.victims, block_victims);
       // Disjoint extents: the block books must read exactly
       // files x blocks-per-file.
       EXPECT_EQ(block.physical_blocks(), block.size() * 25u);
@@ -335,29 +376,55 @@ TEST(BlockStoreIntegration, DedupRunAuditsCleanAndSavesBytes) {
   EXPECT_GT(r.dedup_ratio(), 1.0);
 }
 
+// Dedup caches legally hold more files than their file-count capacity
+// (capacity is a block law), so an audited run whose caches fill must
+// stay clean — the file-count cache-coherence law used to abort it.
+TEST(BlockStoreIntegration, DedupRunThatFillsCachesAuditsClean) {
+  workload::CoaddParams cp;
+  cp.num_tasks = 300;
+  cp.seed = 20260808;
+  auto job = workload::generate_coadd(cp);
+
+  grid::GridConfig c;
+  c.tiers.num_sites = 3;
+  c.tiers.workers_per_site = 1;
+  c.capacity_files = 150;
+  c.audit = true;
+  c.block_store->content_overlap = 0.5;
+
+  sched::SchedulerSpec spec;
+  spec.algorithm = sched::Algorithm::kRest;
+  const auto r = grid::run_once(c, job, spec, /*seed=*/7);
+  EXPECT_EQ(r.tasks_completed, 300u);
+  EXPECT_GT(r.total_evictions(), 0u);  // the caches did fill
+  EXPECT_GT(r.total_bytes_saved(), 0.0);
+}
+
+// At content overlap 0 the wire carries whole files: every demand fetch
+// moves exactly one catalog file and nothing is deduplicated.
 TEST(BlockStoreIntegration, OverlapZeroRunMatchesWholeFileByteForByte) {
   workload::CoaddParams cp;
   cp.num_tasks = 150;
   cp.seed = 20260808;
   auto job = workload::generate_coadd(cp);
+  ASSERT_TRUE(job.catalog.uniform());
 
-  grid::GridConfig block;
-  block.tiers.num_sites = 4;
-  block.tiers.workers_per_site = 2;
-  block.capacity_files = 3000;
-  grid::GridConfig whole = block;
-  whole.block_store.reset();
+  grid::GridConfig c;
+  c.tiers.num_sites = 4;
+  c.tiers.workers_per_site = 2;
+  c.capacity_files = 3000;
+  ASSERT_EQ(c.block_store->content_overlap, 0.0);
 
   sched::SchedulerSpec spec;
   spec.algorithm = sched::Algorithm::kCombined;
-  const auto rb = grid::run_once(block, job, spec, /*seed=*/3);
-  const auto rw = grid::run_once(whole, job, spec, /*seed=*/3);
-  EXPECT_EQ(rb.makespan_s, rw.makespan_s);
-  EXPECT_EQ(rb.events_executed, rw.events_executed);
-  EXPECT_EQ(rb.total_file_transfers(), rw.total_file_transfers());
-  EXPECT_EQ(rb.total_bytes_transferred(), rw.total_bytes_transferred());
-  EXPECT_EQ(rb.total_bytes_saved(), 0.0);
-  EXPECT_EQ(rb.dedup_ratio(), 1.0);
+  const auto r = grid::run_once(c, job, spec, /*seed=*/3);
+  EXPECT_EQ(r.tasks_completed, 150u);
+  EXPECT_GT(r.total_file_transfers(), 0u);
+  EXPECT_EQ(r.total_bytes_transferred(),
+            static_cast<double>(r.total_file_transfers()) *
+                static_cast<double>(job.catalog.size(FileId(0))));
+  EXPECT_EQ(r.total_bytes_saved(), 0.0);
+  EXPECT_EQ(r.dedup_ratio(), 1.0);
 }
 
 }  // namespace

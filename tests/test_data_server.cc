@@ -10,6 +10,7 @@
 #include "net/topology.h"
 #include "sim/simulator.h"
 #include "storage/data_server.h"
+#include "uniform_block_map.h"
 
 namespace wcs::storage {
 namespace {
@@ -20,7 +21,7 @@ struct Fixture {
   sim::Simulator sim;
   net::Topology topo;
   NodeId fs, ds_node;
-  workload::FileCatalog catalog{100, megabytes(1)};
+  BlockMap blocks = uniform_block_map(100, megabytes(1));
   std::unique_ptr<net::FlowManager> flows;
   std::unique_ptr<DataServer> ds;
 
@@ -31,7 +32,7 @@ struct Fixture {
     topo.add_link(fs, ds_node, 1e6, 0.0);
     flows = std::make_unique<net::FlowManager>(sim, topo);
     ds = std::make_unique<DataServer>(SiteId(0), sim, *flows, ds_node, fs,
-                                      catalog, capacity, policy);
+                                      blocks, capacity, policy);
   }
 
   static std::vector<FileId> files(std::initializer_list<unsigned> ids) {
@@ -259,9 +260,9 @@ TEST(DataServer, TransfersGoThroughSharedUplinkTopology) {
   NodeId dsn = topo.add_node("ds");
   topo.add_link(fs, gw, 2e6, 0.0);
   LinkId uplink = topo.add_link(gw, dsn, 1e6, 0.0);
-  workload::FileCatalog catalog(10, megabytes(1));
+  const BlockMap blocks = uniform_block_map(10, megabytes(1));
   net::FlowManager flows(sim, topo);
-  DataServer ds(SiteId(0), sim, flows, dsn, fs, catalog, 10,
+  DataServer ds(SiteId(0), sim, flows, dsn, fs, blocks, 10,
                 EvictionPolicy::kLru);
   double done = -1;
   std::vector<FileId> batch{FileId(0), FileId(1)};

@@ -66,35 +66,6 @@ TEST(GoldenRun, FixedSeedTotalsAreExact) {
   }
 }
 
-TEST(GoldenRun, WholeFileCacheReproducesGoldensExactly) {
-  // Block-granular accounting (the default, content overlap 0) and the
-  // whole-file reference cache must make IDENTICAL decisions: same
-  // goldens, byte for byte, for all six schedulers. This is the
-  // acceptance gate for GridConfig::block_store (CLI:
-  // --whole-file-cache).
-  workload::CoaddParams cp;
-  cp.num_tasks = 500;
-  cp.seed = 20260805;
-  auto job = workload::generate_coadd(cp);
-
-  GridConfig c;
-  c.tiers.num_sites = 5;
-  c.tiers.workers_per_site = 5;
-  c.capacity_files = 3000;
-  c.block_store.reset();  // whole-file reference mode
-
-  auto specs = sched::SchedulerSpec::paper_algorithms();
-  ASSERT_EQ(specs.size(), std::size(kGolden));
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto r = run_once(c, job, specs[i], /*seed=*/7);
-    SCOPED_TRACE(specs[i].name() + " (whole-file cache)");
-    EXPECT_EQ(r.makespan_s, kGolden[i].makespan_s);
-    EXPECT_EQ(r.total_file_transfers(), kGolden[i].file_transfers);
-    EXPECT_EQ(r.total_bytes_transferred(), kGolden[i].bytes_transferred);
-    EXPECT_EQ(r.total_bytes_saved(), 0.0);
-  }
-}
-
 TEST(GoldenRun, ClosedWorkloadPlaneReproducesGoldensExactly) {
   // The open-system workload plane's byte-identity gate: a Workload
   // whose schedule is single-tenant arrive-at-t=0 — whether encoded as

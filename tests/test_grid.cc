@@ -105,6 +105,20 @@ TEST(Grid, InvalidCapacityRejected) {
                std::logic_error);
 }
 
+TEST(Grid, MissingBlockStoreRejected) {
+  auto job = tiny_job(1, 5);
+  GridConfig c = exact_config(1, 1, /*capacity=*/10);
+  c.block_store.reset();
+  try {
+    validate_config(c, job);
+    ADD_FAILURE() << "validate_config accepted block_store = nullopt";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("block_store must be set"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Grid, PinnedWorkingSetValidationCountsWorkers) {
   auto job = tiny_job(4, 5);
   GridConfig c = exact_config(1, 3, /*capacity=*/14);  // 3 workers x 5 = 15

@@ -164,8 +164,8 @@ TEST(ReportSchema, DedupFieldsValidateUnderV2) {
 }
 
 TEST(ReportSchema, WholeFileRowsOmitDedupFields) {
-  // bytes-saved == 0 (whole-file mode, or block mode with no sharing)
-  // keeps the exact v1 row shape — the optional fields never appear.
+  // bytes-saved == 0 (no shared blocks, e.g. content overlap 0) keeps
+  // the exact v1 row shape — the optional fields never appear.
   JsonValue doc = emit(sample_report());
   const JsonValue& row =
       doc.find("points")->array[0].find("schedulers")->array[0];

@@ -192,6 +192,12 @@ TEST(ScenarioCliDeathTest, MalformedNumbersAreUsageErrors) {
         << flag << ' ' << value;
 }
 
+TEST(ScenarioCliDeathTest, WholeFileCacheFlagIsUnknown) {
+  EXPECT_EXIT(run_cli({"bench_test", "--whole-file-cache", "--no-report"}),
+              ::testing::ExitedWithCode(2),
+              "unknown option --whole-file-cache");
+}
+
 TEST(ScenarioCliDeathTest, MalformedJobsEnvironmentIsUsageError) {
   auto list_with_bad_jobs = [] {
     setenv("WCS_BENCH_JOBS", "four", 1);  // only in the death-test child

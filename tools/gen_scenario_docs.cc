@@ -64,12 +64,9 @@ std::string replication_cell(const JsonValue& config) {
 }
 
 std::string block_store_cell(const JsonValue& config) {
-  const JsonValue* bs = config.find("block_store");
-  // Older dumps have no block_store member; both read as the reference
-  // whole-file mode.
-  if (bs == nullptr || bs->is_null()) return "whole-file";
-  std::string cell = field_num(*bs, "block_size_mb") + " MB blocks";
-  if (const JsonValue* overlap = bs->find("content_overlap");
+  const JsonValue& bs = *config.find("block_store");
+  std::string cell = field_num(bs, "block_size_mb") + " MB blocks";
+  if (const JsonValue* overlap = bs.find("content_overlap");
       overlap != nullptr && overlap->number > 0)
     cell += ", overlap " + num(*overlap);
   return cell;
