@@ -39,7 +39,7 @@ DataPlane::DataPlane(const GridConfig& config, const workload::Job& job,
     }
     replicator_ = std::make_unique<replication::DataReplicator>(
         *config.replication, sim, *flows_, topo_.file_server_node,
-        std::move(servers), std::move(site_info));
+        std::move(servers), job.catalog.num_files(), std::move(site_info));
     for (std::size_t s = 0; s < num_sites; ++s)
       servers_[s]->set_transfer_listener([this, s](FileId f) {
         replicator_->on_file_fetched(
@@ -99,6 +99,7 @@ void DataPlane::stop_replication() {
 void DataPlane::set_observability(obs::Observability* obs,
                                   sim::Simulator& sim) {
   flows_->set_observability(obs);
+  if (replicator_) replicator_->set_profiler(obs ? obs->profiler() : nullptr);
   if (obs == nullptr) return;
   for (const auto& ds : servers_)
     ds->cache().set_obs(obs->profiler(), obs->tracer(),

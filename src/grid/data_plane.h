@@ -68,8 +68,8 @@ class DataPlane {
   void start_replication();
   void stop_replication();
 
-  // Attach observability to the flow manager and every site cache
-  // (nullptr detaches the flow side).
+  // Attach observability to the flow manager, the replicator and every
+  // site cache (nullptr detaches the flow and replicator side).
   void set_observability(obs::Observability* obs, sim::Simulator& sim);
 
   // Per-site end-of-run accounting, in site order.

@@ -12,6 +12,7 @@ const char* to_string(Phase phase) {
     case Phase::kFlowRebalance: return "flow-rebalance";
     case Phase::kCacheEviction: return "cache-eviction";
     case Phase::kReporting: return "reporting";
+    case Phase::kReplication: return "replication";
   }
   return "?";
 }

@@ -27,8 +27,9 @@ enum class Phase : std::uint8_t {
   kFlowRebalance,      // max-min progressive filling + rescheduling
   kCacheEviction,      // victim selection + eviction bookkeeping
   kReporting,          // metrics/trace/report emission
+  kReplication,        // replicator scan: hot-set pops, placement, flow starts
 };
-inline constexpr std::size_t kNumPhases = 6;
+inline constexpr std::size_t kNumPhases = 7;
 
 [[nodiscard]] const char* to_string(Phase phase);
 

@@ -27,6 +27,7 @@ DataReplicator::DataReplicator(const DataReplicatorParams& params,
                                sim::Simulator& sim, net::FlowManager& flows,
                                NodeId file_server_node,
                                std::vector<storage::DataServer*> data_servers,
+                               std::size_t num_files,
                                std::vector<SiteNetInfo> site_info)
     : params_(params),
       sim_(sim),
@@ -34,7 +35,9 @@ DataReplicator::DataReplicator(const DataReplicatorParams& params,
       file_server_node_(file_server_node),
       data_servers_(std::move(data_servers)),
       site_info_(std::move(site_info)),
-      rng_(params.seed) {
+      rng_(params.seed),
+      popularity_(num_files, 0),
+      replicated_(num_files, false) {
   WCS_CHECK(params_.popularity_threshold > 0);
   WCS_CHECK(params_.check_interval_s > 0);
   WCS_CHECK(!data_servers_.empty());
@@ -44,6 +47,8 @@ DataReplicator::DataReplicator(const DataReplicatorParams& params,
   WCS_CHECK(site_info_.size() == data_servers_.size());
   for (const SiteNetInfo& s : site_info_)
     num_groups_ = std::max(num_groups_, s.man_group + 1);
+  if (params_.placement == Placement::kHierarchicalParent)
+    group_demand_.assign(num_files * num_groups_, 0);
 }
 
 void DataReplicator::start() {
@@ -55,23 +60,32 @@ void DataReplicator::stop() {
   if (stopped_) return;
   stopped_ = true;
   if (next_scan_.valid()) sim_.cancel(next_scan_);
-  // Cancel in sorted id order: FlowManager::cancel reallocates the
-  // remaining flows, so the cancellation sequence is observable.
-  std::vector<FlowId> pending(in_flight_.begin(), in_flight_.end());
-  std::sort(pending.begin(), pending.end());
-  for (FlowId f : pending) flows_.cancel(f);
+  // Cancel in id order: FlowManager::cancel reallocates the remaining
+  // flows, so the cancellation sequence is observable. (A cancelled
+  // flow's callback never fires, so the set is not edited underneath.)
+  for (FlowId f : in_flight_) flows_.cancel(f);
   in_flight_.clear();
 }
 
 void DataReplicator::on_file_fetched(FileId file, SiteId origin) {
   if (stopped_) return;
-  ++popularity_[file];
-  if (params_.placement == Placement::kHierarchicalParent &&
-      origin.value() < site_info_.size()) {
-    std::vector<std::uint32_t>& demand = group_demand_[file];
-    if (demand.empty()) demand.resize(num_groups_, 0);
-    ++demand[site_info_[origin.value()].man_group];
+  const std::size_t f = file.value();
+  WCS_CHECK(f < popularity_.size());
+  const std::uint32_t count = ++popularity_[f];
+  // Re-key an eligible file: its old key (count - 1) is in the set iff
+  // that count had already reached the threshold.
+  if (!replicated_[f] && count >= params_.popularity_threshold) {
+    if (count > params_.popularity_threshold) {
+      auto node = hot_.extract(HotKey{count - 1, file});
+      WCS_CHECK(!node.empty());
+      node.value().count = count;
+      hot_.insert(std::move(node));
+    } else {
+      hot_.insert(HotKey{count, file});
+    }
   }
+  if (!group_demand_.empty() && origin.value() < site_info_.size())
+    ++group_demand_[f * num_groups_ + site_info_[origin.value()].man_group];
 }
 
 Bytes DataReplicator::replica_bytes(FileId file, std::size_t target) const {
@@ -105,13 +119,11 @@ SiteId DataReplicator::pick_target(FileId file) {
       // Group with the most recorded demand wins; ties break toward the
       // lowest group id. A file that crossed the popularity threshold
       // without per-group records (listener not wired) lands in group 0.
+      const std::uint32_t* demand =
+          group_demand_.data() + file.value() * num_groups_;
       std::uint32_t best_group = 0;
-      auto it = group_demand_.find(file);
-      if (it != group_demand_.end()) {
-        const std::vector<std::uint32_t>& demand = it->second;
-        for (std::uint32_t g = 1; g < demand.size(); ++g)
-          if (demand[g] > demand[best_group]) best_group = g;
-      }
+      for (std::uint32_t g = 1; g < num_groups_; ++g)
+        if (demand[g] > demand[best_group]) best_group = g;
       std::vector<std::size_t> in_group;
       for (std::size_t s : candidates)
         if (site_info_[s].man_group == best_group) in_group.push_back(s);
@@ -150,30 +162,20 @@ SiteId DataReplicator::pick_target(FileId file) {
 
 void DataReplicator::scan() {
   if (stopped_) return;
+  obs::ScopedPhase phase(profiler_, obs::Phase::kReplication);
   ++stats_.rounds;
 
-  // Hot files first, deterministically.
-  std::vector<std::pair<std::size_t, FileId>> hot;
-  // detlint: unordered-loop -- collect-then-sort: 'hot' is canonically sorted by (count, id) before any use
-  for (const auto& [file, count] : popularity_) {
-    if (count < params_.popularity_threshold) continue;
-    if (replicated_.count(file)) continue;
-    hot.emplace_back(count, file);
-  }
-  std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  });
-  if (hot.size() > params_.max_replicas_per_round)
-    hot.resize(params_.max_replicas_per_round);
-
-  for (const auto& [count, file] : hot) {
+  // Hottest files first. Nothing below feeds back into the counts (flow
+  // starts only schedule events), so popping as we go takes the same
+  // prefix as taking it up front.
+  for (std::size_t n = 0;
+       n < params_.max_replicas_per_round && !hot_.empty(); ++n) {
+    const FileId file = hot_.begin()->file;
+    hot_.erase(hot_.begin());
+    // Replicated or already everywhere: either way, never revisited.
+    replicated_[file.value()] = true;
     SiteId target = pick_target(file);
-    if (!target.valid()) {
-      replicated_.insert(file);  // everywhere already; never revisit
-      continue;
-    }
-    replicated_.insert(file);
+    if (!target.valid()) continue;
     storage::DataServer* ds = data_servers_[target.value()];
     FileId f = file;
     // Priced at flow start (only uncovered blocks ship), and the
