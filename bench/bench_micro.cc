@@ -125,13 +125,15 @@ void BM_Reallocate(benchmark::State& state) {
 BENCHMARK(BM_Reallocate)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_ReallocateSharedUplink(benchmark::State& state) {
-  // Steady-state reallocation cost when the whole pool is one component:
-  // the grid's file-server pattern. N flows leave one server through a
-  // shared uplink, each capped by its own client access link (0.1-0.2 MB/s
-  // against a 1 GB/s uplink), so every fill freezes one flow per
-  // bottleneck round and each reallocation re-solves all N. Each
-  // iteration churns one flow (cancel, start, activate): two
-  // reallocations. Flow sizes are effectively infinite.
+  // Steady-state reallocation cost behind one shared uplink: the grid's
+  // file-server pattern. N flows leave one server through the uplink,
+  // each capped by its own client access link (0.1-0.2 MB/s against a
+  // 1 GB/s uplink). The uplink never saturates, so reallocation cuts the
+  // sharing graph there and re-fills only the churned flow; what still
+  // grows with N is the uplink's residual, recounted over its N flows.
+  // Each iteration churns one flow (cancel, start, activate): two
+  // reallocations, the activation with one re-flood (its access link
+  // was empty, hence slack). Flow sizes are effectively infinite.
   const int kFlows = static_cast<int>(state.range(0));
   sim::Simulator sim;
   net::Topology topo;

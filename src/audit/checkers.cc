@@ -32,6 +32,15 @@ void check_flow_conservation(const FlowAuditSnapshot& snap,
          << l.capacity_bps << " B/s capacity";
       report(out, "flow-conservation", os);
     }
+    // Exact comparison: a cut link's slack exceeds 1e-9 of its capacity
+    // (FlowManager::kBoundMargin), far above summation-order dust.
+    if (l.cuttable && l.flows > 0 && l.allocated_bps >= l.capacity_bps) {
+      std::ostringstream os;
+      os << "link " << l.name << " is cuttable but saturated: " << l.flows
+         << " flows allocated " << l.allocated_bps << " B/s of "
+         << l.capacity_bps << " B/s capacity";
+      report(out, "flow-conservation", os);
+    }
     if (l.allocated_bps < 0) {
       std::ostringstream os;
       os << "link " << l.name << " has negative allocation "

@@ -7,9 +7,10 @@
 // unit tests without corrupting a live component.
 //
 // Shipped laws (DESIGN.md § Invariants & static analysis):
-//   flow-conservation   per-link allocation <= capacity; per-flow byte
-//                       accounting; started = delivered + in-flight +
-//                       cancelled remainder
+//   flow-conservation   per-link allocation <= capacity, and < capacity
+//                       on a cuttable link; per-flow byte accounting;
+//                       started = delivered + in-flight + cancelled
+//                       remainder
 //   cache-coherence     pinned <= occupancy; LRU/FIFO/MinRef
 //                       order<->entry structure sound (capacity is a
 //                       block law: a dedup cache holds more files than
@@ -40,6 +41,10 @@ struct LinkUsage {
   double capacity_bps = 0;
   double allocated_bps = 0;  // sum of active-flow rates crossing the link
   std::size_t flows = 0;     // active flows crossing the link
+  // The owner may stop a max-min reallocation at this link because it
+  // had slack at its last fill (net::FlowManager's cut links), so its
+  // flows must leave capacity unallocated.
+  bool cuttable = false;
 };
 
 struct FlowProgress {

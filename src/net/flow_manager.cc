@@ -24,7 +24,9 @@ constexpr double kEpsilonBytes = 1e-6;
 // sharing graph is independent of any other component (freezing a flow
 // only touches links of its own component), so one run over the whole
 // pool assigns every flow bitwise the share FlowManager::fill_component
-// assigns it over its component alone.
+// assigns it over its component alone — and, since a link that ends with
+// slack sets no rate, over its component cut at such links
+// (flow_manager.h).
 template <typename FlowPtr>
 void progressive_fill(const std::vector<FlowPtr>& pool,
                       const std::vector<LinkId>& links,
@@ -80,11 +82,13 @@ void FlowManager::set_observability(obs::Observability* o) {
   profiler_ = o ? o->profiler() : nullptr;
   if (o && o->metrics()) {
     realloc_counter_ = &o->metrics()->counter("net.reallocations");
+    reflood_counter_ = &o->metrics()->counter("net.component_refloods");
     // Flow wall time in simulated seconds: WAN transfers of multi-GB
     // files land in the minutes-to-hours range.
     flow_seconds_ = &o->metrics()->histogram("net.flow_seconds", 0, 7200, 72);
   } else {
     realloc_counter_ = nullptr;
+    reflood_counter_ = nullptr;
     flow_seconds_ = nullptr;
   }
 }
@@ -125,7 +129,7 @@ void FlowManager::activate(FlowId id) {
     complete(id);
     return;
   }
-  reallocate(f.route);
+  reallocate(f.route, &f);
 }
 
 void FlowManager::complete(FlowId id) {
@@ -160,7 +164,7 @@ void FlowManager::complete(FlowId id) {
   flows_.erase(it);
   ++completed_;
   if (shared) {
-    reallocate(released);
+    reallocate(released, nullptr);
   }
   if (cb) cb(id);
 }
@@ -181,7 +185,7 @@ bool FlowManager::cancel(FlowId id) {
   flows_.erase(it);
   ++cancelled_;
   if (shared) {
-    reallocate(released);
+    reallocate(released, nullptr);
   }
   return true;
 }
@@ -205,6 +209,7 @@ audit::FlowAuditSnapshot FlowManager::audit_snapshot() const {
     audit::LinkUsage usage;
     usage.name = link.name.empty() ? ("link#" + std::to_string(l)) : link.name;
     usage.capacity_bps = link.bandwidth_bps;
+    usage.cuttable = !link_bound_[l];
     snap.links.push_back(std::move(usage));
   }
 
@@ -311,41 +316,49 @@ void FlowManager::leave_links(const Flow& f) {
   }
 }
 
-void FlowManager::build_component(const std::vector<LinkId>& seeds) {
+void FlowManager::build_component(const std::vector<LinkId>& seeds,
+                                  Flow* joined) {
   ++epoch_;
   component_.clear();
   fill_links_.clear();
-  for (LinkId lid : seeds) {
+  auto reach = [this](LinkId lid) {
     if (link_mark_[lid.value()] != epoch_) {
       link_mark_[lid.value()] = epoch_;
       fill_links_.push_back(lid);
     }
-  }
-  // Breadth-first flood: every flow on a dirty link joins the component
-  // and dirties the rest of its route. fill_links_ doubles as the queue.
-  // Flow marks reuse the link epoch counter.
+  };
+  auto enter = [&](Flow* f) {
+    f->mark = epoch_;
+    component_.push_back(f);
+    for (LinkId lid : f->route) reach(lid);
+  };
+  for (LinkId lid : seeds) reach(lid);
+  if (joined) enter(joined);
+  // Breadth-first flood: every flow on a bound link joins the component
+  // and reaches the rest of its route. A cut link stops the flood.
+  // fill_links_ doubles as the queue; flow marks reuse the link epoch.
   for (std::size_t next = 0; next < fill_links_.size(); ++next) {
-    for (Flow* f : link_flows_[fill_links_[next].value()]) {
-      if (f->mark == epoch_) continue;
-      f->mark = epoch_;
-      component_.push_back(f);
-      for (LinkId lid : f->route) {
-        if (link_mark_[lid.value()] != epoch_) {
-          link_mark_[lid.value()] = epoch_;
-          fill_links_.push_back(lid);
-        }
-      }
-    }
+    const auto l = fill_links_[next].value();
+    if (!link_bound_[l]) continue;
+    for (Flow* f : link_flows_[l])
+      if (f->mark != epoch_) enter(f);
   }
   // Flows join in flood order; the apply step runs in canonical id order.
   std::sort(component_.begin(), component_.end(),
             [](const Flow* a, const Flow* b) { return a->id < b->id; });
 }
 
-void FlowManager::fill_component() {
+bool FlowManager::fill_component() {
   for (LinkId lid : fill_links_) {
-    link_cap_[lid.value()] = topo_.link(lid).bandwidth_bps;
-    link_crossing_[lid.value()] = 0;
+    const auto l = lid.value();
+    double cap = topo_.link(lid).bandwidth_bps;
+    // A cut link also carries flows outside the component, whose rates
+    // this fill keeps: the component shares what they leave.
+    if (!link_bound_[l])
+      for (const Flow* f : link_flows_[l])
+        if (f->mark != epoch_) cap -= f->rate;
+    link_cap_[l] = cap;
+    link_crossing_[l] = 0;
   }
   for (Flow* f : component_) {
     f->fill_share = kUnfixed;
@@ -384,9 +397,10 @@ void FlowManager::fill_component() {
       continue;
     }
     // share == key: no link holds a smaller (share, id) pair, so l is the
-    // scan's bottleneck. Freeze its flows in id order.
+    // scan's bottleneck. Freeze its flows in id order (on a cut link, its
+    // component flows: the check below then rejects the fill).
     for (Flow* f : link_flows_[l]) {
-      if (f->fill_share != kUnfixed) continue;
+      if (f->mark != epoch_ || f->fill_share != kUnfixed) continue;
       f->fill_share = share;
       --unfixed;
       for (LinkId lid : f->route) {
@@ -401,9 +415,27 @@ void FlowManager::fill_component() {
       }
     }
   }
+
+  // A popped link ends with rounding-level capacity, so this also
+  // catches a cut link that was popped. Bits change only once the fill
+  // stands: a retry must still flood through every link bound before.
+  auto bound = [this](LinkId lid) {
+    return link_cap_[lid.value()] <=
+           kBoundMargin * topo_.link(lid).bandwidth_bps;
+  };
+  bool cut_bound = false;
+  for (LinkId lid : fill_links_) {
+    if (!link_bound_[lid.value()] && bound(lid)) {
+      link_bound_[lid.value()] = 1;
+      cut_bound = true;
+    }
+  }
+  if (cut_bound) return false;
+  for (LinkId lid : fill_links_) link_bound_[lid.value()] = bound(lid);
+  return true;
 }
 
-void FlowManager::reallocate(const Route& seed_links) {
+void FlowManager::reallocate(const Route& seed_links, Flow* joined) {
   if (realloc_counter_) realloc_counter_->add();
   const SimTime now = sim_.now();
 
@@ -415,11 +447,17 @@ void FlowManager::reallocate(const Route& seed_links) {
   while (true) {
     {
       obs::ScopedPhase phase(profiler_, obs::Phase::kFlowDirtySet);
-      build_component(seed_scratch_);
+      build_component(seed_scratch_, joined);
     }
 
+    // A re-flood is part of the rebalance it restarts: one dirty-set and
+    // one rebalance phase per round, however many links bind.
     obs::ScopedPhase phase(profiler_, obs::Phase::kFlowRebalance);
-    fill_component();
+    while (!fill_component()) {
+      if (reflood_counter_) reflood_counter_->add();
+      build_component(seed_scratch_, joined);
+    }
+    joined = nullptr;  // applied below; a drain round seeds departures
 
     // Apply in canonical id order. A flow whose share is unchanged keeps
     // its progress, its last_update, and its scheduled completion event,

@@ -11,9 +11,41 @@
 // joins the lists when it activates and leaves them when it completes,
 // is cancelled, or drains. A flow start/finish seeds the links it
 // traverses, and a breadth-first flood through those lists collects the
-// affected connected component of the flow<->link sharing graph. Max-min
-// fair shares decompose exactly by connected component, so rates outside
-// it cannot change.
+// flows whose rate the change can move.
+//
+// The flood crosses only *bound* links: links whose residual capacity
+// ended within kBoundMargin of zero in the allocation before the change
+// (one bit per link, refreshed by every fill that reaches the link).
+// Every other link the component touches is *cut*: the component's
+// flows on it enter the fill against its residual capacity (bandwidth
+// minus the fixed rates of its flows outside the component), and the
+// flood stops there. On the Tiers platforms the file-server and WAN
+// links never saturate, so a change re-fills one site's flows instead
+// of every WAN transfer. The joined flow of an activation always enters
+// the component, even when each of its links had slack.
+//
+// Why the rates stay bitwise those of a whole-pool fill: a link that is
+// popped as a bottleneck is left with (rounding-level) zero capacity, so
+// a link that ends with slack never sets a rate. A fill over the whole
+// pool is therefore an interleaving of independent fills on either side
+// of such a link, and on every bound link the freeze order and the
+// `cap -= share` sequence are exactly the reduced fill's. The cut link
+// itself is the one place where the two fills round differently (a
+// residual computed by one subtraction per outside flow against the
+// whole pool's interleaved subtractions), which is what the margin
+// absorbs: after the fill, a cut link whose residual ended within it —
+// because it was popped, or because a tie or one ulp left it full
+// without being popped — is marked bound and the component is rebuilt
+// and re-filled. That one check is the only guard: a popped cut link
+// ends within the margin too, so no separate abort at pop time is
+// needed. Each retry binds at least one more link, so the loop ends,
+// and bits are committed only once a fill succeeds. Treating a slack
+// link as bound is always safe: it only widens the flood.
+//
+// The bit must describe the allocation *before* the change. When F
+// leaves an uplink it saturated together with G, that uplink has slack
+// right after F is gone; cutting it there would keep G out of the
+// component and G's rate would never rise.
 //
 // Inside the component, progressive filling is driven by a min-heap of
 // (fair share, link id) keys instead of a scan over every candidate link
@@ -70,7 +102,8 @@ class FlowManager {
         link_cap_(topology.num_links(), 0),
         link_crossing_(topology.num_links(), 0),
         link_mark_(topology.num_links(), 0),
-        link_floor_(topology.num_links(), 0) {}
+        link_floor_(topology.num_links(), 0),
+        link_bound_(topology.num_links(), 0) {}
 
   FlowManager(const FlowManager&) = delete;
   FlowManager& operator=(const FlowManager&) = delete;
@@ -100,8 +133,8 @@ class FlowManager {
   [[nodiscard]] double bytes_delivered() const { return bytes_delivered_; }
 
   // Read-only state snapshot for the invariant auditor: per-link
-  // allocation vs capacity, per-flow byte progress, and the delivery
-  // ledger (audit::check_flow_conservation). Progress is settled
+  // allocation vs capacity and cut bit, per-flow byte progress, and the
+  // delivery ledger (audit::check_flow_conservation). Progress is settled
   // on-the-fly to now(): flows are only byte-settled when their rate
   // changes, so the stored `remaining` lags the fluid model between rate
   // changes.
@@ -110,8 +143,8 @@ class FlowManager {
   // Stored per-flow rates next to a from-scratch linear-scan
   // progressive-filling recompute over the same pool
   // (audit::check_flow_rates). The live rates must match the recompute
-  // bitwise — the invariant the dirty-component reallocation and the
-  // bottleneck heap rest on.
+  // bitwise — the invariant the dirty-component reallocation, the cut at
+  // slack links and the bottleneck heap rest on.
   [[nodiscard]] audit::FlowRatesSnapshot audit_rates_snapshot() const;
 
   // Bytes carried by each link so far (including partial transfers of
@@ -152,24 +185,34 @@ class FlowManager {
     FlowCallback on_complete;
   };
 
+  // A link whose residual capacity ends within this fraction of its
+  // bandwidth is bound: the flood crosses it. Far above the rounding of
+  // a fill (a few ulps per flow on the link), far below any real slack.
+  static constexpr double kBoundMargin = 1e-9;
+
   void activate(FlowId id);
   void complete(FlowId id);
 
   // Recompute the max-min allocation after the flow set changed.
-  // `seed_links` are the links traversed by the added/removed flow; only
-  // the connected component reachable from them is rebalanced, and a
+  // `seed_links` are the links traversed by the added/removed flow, and
+  // `joined` the flow an activation added (nullptr otherwise); only the
+  // flows reachable from them through bound links are rebalanced, and a
   // flow is settled and its completion event rescheduled only if its
   // rate changed.
-  void reallocate(const Route& seed_links);
+  void reallocate(const Route& seed_links, Flow* joined);
 
-  // Flood the sharing graph breadth-first out from `seeds` through the
-  // per-link flow lists: fills component_ (id-sorted flows whose rate may
-  // change) and fill_links_ (the links they traverse, in flood order).
-  void build_component(const std::vector<LinkId>& seeds);
+  // Flood the sharing graph breadth-first out from `seeds` (and
+  // `joined`) through the per-link flow lists of bound links: fills
+  // component_ (id-sorted flows whose rate may change) and fill_links_
+  // (the links they traverse, bound and cut, in flood order).
+  void build_component(const std::vector<LinkId>& seeds, Flow* joined);
 
   // Heap-driven progressive filling over component_ and fill_links_:
-  // sets each component flow's fill_share.
-  void fill_component();
+  // sets each component flow's fill_share. Returns false, after marking
+  // them bound, if some cut link ended within the margin; the component
+  // must then be rebuilt and re-filled. On success refreshes the bound
+  // bit of every link in fill_links_.
+  [[nodiscard]] bool fill_component();
 
   // Enter / leave the per-link flow lists (the sharing pool).
   void join_links(Flow& f);
@@ -215,6 +258,8 @@ class FlowManager {
   std::vector<int> link_crossing_;
   std::vector<std::uint64_t> link_mark_;
   std::vector<double> link_floor_;
+  // Bound bit per link (see the file comment); not scratch.
+  std::vector<char> link_bound_;
   std::vector<LinkId> fill_links_;
   std::vector<std::pair<double, LinkId::underlying_type>> fill_heap_;
   std::vector<LinkId> seed_scratch_;
@@ -225,6 +270,7 @@ class FlowManager {
   obs::EventTracer* tracer_ = nullptr;
   obs::PhaseProfiler* profiler_ = nullptr;
   obs::Counter* realloc_counter_ = nullptr;
+  obs::Counter* reflood_counter_ = nullptr;
   obs::FixedHistogram* flow_seconds_ = nullptr;
 };
 

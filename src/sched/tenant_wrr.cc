@@ -104,6 +104,9 @@ void TenantWrrScheduler::attach(GridEngine& engine) {
   proxies_.clear();
   for (std::uint32_t t = 0; t < inners_.size(); ++t) {
     proxies_.push_back(std::make_unique<TenantEngineProxy>(*this, t));
+    // set_profiler() is not virtual: the engine sets this wrapper's
+    // profiler before the run, and the inners make the decisions.
+    inners_[t]->set_profiler(profiler_);
     inners_[t]->attach(*proxies_.back());
   }
 }

@@ -75,6 +75,27 @@ TEST(FlowConservation, AllowsMaxMinRoundingDust) {
   EXPECT_TRUE(v.empty());
 }
 
+TEST(FlowConservation, DetectsSaturatedCuttableLink) {
+  // A bound link may sit exactly at capacity; a cuttable one may not,
+  // or a reallocation that stops there would miss a bottleneck.
+  FlowAuditSnapshot s = healthy_flows();
+  s.links[0].allocated_bps = s.links[0].capacity_bps;
+  EXPECT_TRUE(run_checker([&](auto& out) {
+                check_flow_conservation(s, out);
+              }).empty());
+  s.links[0].cuttable = true;
+  auto v =
+      run_checker([&](auto& out) { check_flow_conservation(s, out); });
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0].checker, "flow-conservation");
+  EXPECT_TRUE(mentions(v, "cuttable but saturated"));
+  // With slack it is clean again.
+  s.links[0].allocated_bps = s.links[0].capacity_bps * (1 - 1e-6);
+  EXPECT_TRUE(run_checker([&](auto& out) {
+                check_flow_conservation(s, out);
+              }).empty());
+}
+
 TEST(FlowConservation, DetectsBrokenByteAccounting) {
   FlowAuditSnapshot s = healthy_flows();
   s.flows[0].remaining_bytes = s.flows[0].total_bytes + 10;

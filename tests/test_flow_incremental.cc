@@ -1,11 +1,11 @@
 // Differential proof harness for incremental max-min reallocation.
 //
-// net::FlowManager rebalances only the dirty connected component of the
-// flow<->link sharing graph on each flow start, finish or cancel. Its
-// oracle is the from-scratch progressive fill behind
-// FlowManager::audit_rates_snapshot(): max-min shares decompose exactly
-// by connected component, so every live rate must equal the recompute
-// bitwise. This suite drives one FlowManager through operation sequences
+// On each flow start, finish or cancel, net::FlowManager rebalances only
+// the flows the change can move: the part of the flow<->link sharing
+// graph it reaches through bound links, cut at links that had slack.
+// Its oracle is the from-scratch progressive fill behind
+// FlowManager::audit_rates_snapshot(): a link that ends with slack sets
+// no rate, so every live rate must equal the recompute bitwise. This suite drives one FlowManager through operation sequences
 // and checks it against that oracle after every operation and every
 // executed event:
 //
@@ -30,6 +30,10 @@
 //     rates' last bits (the lowest-link-id rule, and a share that falls
 //     by one ulp and must be re-keyed), and zero-byte / same-node edge
 //     flows;
+//   * cut-link fixtures: a join that binds a slack uplink (re-flood), a
+//     departure from a co-bottlenecked uplink, a re-flood that keeps the
+//     bits from before the change, a lone flow on slack links, and
+//     uplinks left exactly full or one ulp short of it;
 //   * an eviction-churn grid stress: full GridSimulation runs with worker
 //     crashes, cache eviction pressure, and the invariant auditor on
 //     (including the `flow-rates` checker).
@@ -44,6 +48,7 @@
 // heap replaced it. Failures print the actual values in copy-paste form.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -58,6 +63,7 @@
 #include "grid/grid_simulation.h"
 #include "net/flow_manager.h"
 #include "net/topology.h"
+#include "obs/observability.h"
 #include "sim/simulator.h"
 #include "workload/coadd.h"
 
@@ -101,17 +107,38 @@ std::uint64_t digest(const CompletionLog& log) {
   return h;
 }
 
+obs::Options metrics_only() {
+  obs::Options o;
+  o.metrics = true;
+  return o;
+}
+
 // One FlowManager over one topology. Every executed event is followed by
 // an oracle check; completions are logged in callback order.
 struct Harness {
   Topology topo;
   sim::Simulator sim;
+  obs::Observability instruments{metrics_only()};
   std::unique_ptr<FlowManager> flows;
   CompletionLog done;
 
   // Call once the topology is complete: the manager sizes its per-link
   // tables at construction.
-  void init() { flows = std::make_unique<FlowManager>(sim, topo); }
+  void init() {
+    flows = std::make_unique<FlowManager>(sim, topo);
+    flows->set_observability(&instruments);
+  }
+
+  // Fills the manager restarted because a cut link bound.
+  [[nodiscard]] std::uint64_t refloods() const {
+    const obs::Counter* c =
+        instruments.metrics()->find_counter("net.component_refloods");
+    return c ? c->value() : 0;
+  }
+
+  [[nodiscard]] bool cuttable(LinkId link) const {
+    return flows->audit_snapshot().links.at(link.value()).cuttable;
+  }
 
   FlowId start(NodeId src, NodeId dst, Bytes bytes) {
     return flows->start_flow(src, dst, bytes, [this](FlowId id) {
@@ -502,6 +529,206 @@ TEST(FlowDifferentialFixtures, ShareFallingByAnUlpIsReKeyed) {
     EXPECT_EQ(bits(h.flows->flow_rate(id)), bits(z_rest));
   h.run_all();
   EXPECT_EQ(h.flows->completed_flows(), 7u);
+}
+
+// --- Cut links --------------------------------------------------------------
+//
+// A reallocation floods only through links that were bound (residual
+// within the margin of zero) before the change; any other link it
+// reaches is cut. These fixtures pin each guard that keeps the cut
+// exact: the post-fill check that re-floods when a cut link binds, the
+// margin it binds at, the bits of the allocation before the change, and
+// the joined flow's own entry.
+
+TEST(FlowCutFixtures, JoinThatSaturatesASlackUplinkRefloods) {
+  // server --U 3-- router --A0 2-- c0, --A1 2-- c1. Alone, f0 runs at
+  // its access rate and leaves U one unit of slack, so U is cut. f1's
+  // first fill pops U at the residual 1: U binds, the component is
+  // re-flooded through it, and both flows settle at 3 / 2.
+  Harness h;
+  NodeId server = h.topo.add_node("server");
+  NodeId router = h.topo.add_node("router");
+  NodeId c0 = h.topo.add_node("c0");
+  NodeId c1 = h.topo.add_node("c1");
+  const LinkId u = h.topo.add_link(server, router, 3, 0.0);
+  h.topo.add_link(router, c0, 2, 0.0);
+  h.topo.add_link(router, c1, 2, 0.0);
+  h.init();
+
+  const FlowId f0 = h.start(server, c0, 1'000);
+  ASSERT_TRUE(h.step());
+  EXPECT_EQ(bits(h.flows->flow_rate(f0)), bits(2.0));
+  EXPECT_TRUE(h.cuttable(u));
+  EXPECT_EQ(h.refloods(), 1u);  // f0's access link was slack until now
+
+  const FlowId f1 = h.start(server, c1, 1'000);
+  ASSERT_TRUE(h.step());
+  EXPECT_EQ(bits(h.flows->flow_rate(f0)), bits(1.5));
+  EXPECT_EQ(bits(h.flows->flow_rate(f1)), bits(1.5));
+  EXPECT_FALSE(h.cuttable(u));
+  EXPECT_EQ(h.refloods(), 2u);
+  h.run_all();
+  EXPECT_EQ(h.flows->completed_flows(), 2u);
+}
+
+TEST(FlowCutFixtures, CoBottleneckDepartureRaisesTheFlowThatStays) {
+  // server --U 2-- router --A0 5-- c0, --A1 5-- c1. f and g split U at 1
+  // each, so U is bound. Once f is cancelled U has slack, but the bit
+  // from before the change still floods through it to g, which must
+  // rise to 2. A slack test made after the departure would cut U there.
+  Harness h;
+  NodeId server = h.topo.add_node("server");
+  NodeId router = h.topo.add_node("router");
+  NodeId c0 = h.topo.add_node("c0");
+  NodeId c1 = h.topo.add_node("c1");
+  const LinkId u = h.topo.add_link(server, router, 2, 0.0);
+  h.topo.add_link(router, c0, 5, 0.0);
+  h.topo.add_link(router, c1, 5, 0.0);
+  h.init();
+
+  const FlowId f = h.start(server, c0, 1'000);
+  const FlowId g = h.start(server, c1, 1'000);
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(h.step());  // t=0 activations
+  EXPECT_EQ(bits(h.flows->flow_rate(f)), bits(1.0));
+  EXPECT_EQ(bits(h.flows->flow_rate(g)), bits(1.0));
+  EXPECT_FALSE(h.cuttable(u));
+
+  ASSERT_TRUE(h.flows->cancel(f));
+  h.expect_oracle("after cancel");
+  EXPECT_EQ(bits(h.flows->flow_rate(g)), bits(2.0));
+  EXPECT_FALSE(h.cuttable(u));
+  h.run_all();
+  EXPECT_EQ(h.flows->completed_flows(), 1u);
+}
+
+TEST(FlowCutFixtures, RefloodKeepsTheBitsFromBeforeTheChange) {
+  // U 2 carries f (U, A0) and g (U, C, A1); C 3 also carries h
+  // (S, C, A2), which A2 holds at 1.5. U splits at 1, so C carries 2.5
+  // and is cut. Cancelling f floods U to g, whose rise to U's 2 binds C
+  // at the residual 1.5: a re-flood. In that first fill U ends with
+  // slack; had the failed fill already cleared U's bit, the re-flood
+  // would cut U, g would fall out of the component and keep its old 1.
+  Harness h;
+  NodeId server = h.topo.add_node("server");
+  NodeId router = h.topo.add_node("router");
+  NodeId hub = h.topo.add_node("hub");
+  NodeId src = h.topo.add_node("src");
+  NodeId c0 = h.topo.add_node("c0");
+  NodeId c1 = h.topo.add_node("c1");
+  NodeId c2 = h.topo.add_node("c2");
+  const LinkId u = h.topo.add_link(server, router, 2, 0.0);
+  h.topo.add_link(router, c0, 5, 0.0);
+  const LinkId c = h.topo.add_link(router, hub, 3, 0.0);
+  h.topo.add_link(hub, c1, 5, 0.0);
+  h.topo.add_link(hub, c2, 1.5, 0.0);
+  h.topo.add_link(src, router, 100, 0.0);
+  h.init();
+
+  const FlowId f = h.start(server, c0, 1'000);
+  const FlowId g = h.start(server, c1, 1'000);
+  const FlowId via_c = h.start(src, c2, 1'000);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(h.step());  // t=0 activations
+  EXPECT_EQ(bits(h.flows->flow_rate(g)), bits(1.0));
+  EXPECT_EQ(bits(h.flows->flow_rate(via_c)), bits(1.5));
+  EXPECT_FALSE(h.cuttable(u));
+  EXPECT_TRUE(h.cuttable(c));
+
+  const std::uint64_t before = h.refloods();
+  ASSERT_TRUE(h.flows->cancel(f));
+  h.expect_oracle("after cancel");
+  EXPECT_EQ(h.refloods(), before + 1);
+  EXPECT_EQ(bits(h.flows->flow_rate(g)), bits(1.5));
+  EXPECT_EQ(bits(h.flows->flow_rate(via_c)), bits(1.5));
+  EXPECT_FALSE(h.cuttable(c));
+  h.run_all();
+  EXPECT_EQ(h.flows->completed_flows(), 2u);
+}
+
+TEST(FlowCutFixtures, LoneFlowOnSlackLinksGetsItsAccessRate) {
+  // Every link of a fresh flow has slack, so nothing floods to it: it
+  // must enter its own component, and its access link binds at once.
+  Harness h;
+  NodeId server = h.topo.add_node("server");
+  NodeId router = h.topo.add_node("router");
+  NodeId client = h.topo.add_node("client");
+  const LinkId u = h.topo.add_link(server, router, 10, 0.0);
+  const LinkId a = h.topo.add_link(router, client, 2, 0.0);
+  h.init();
+
+  const FlowId f = h.start(server, client, 1'000);
+  ASSERT_TRUE(h.step());
+  EXPECT_EQ(bits(h.flows->flow_rate(f)), bits(2.0));
+  EXPECT_EQ(h.refloods(), 1u);
+  EXPECT_TRUE(h.cuttable(u));
+  EXPECT_FALSE(h.cuttable(a));
+  h.run_all();
+  EXPECT_EQ(h.done.size(), 1u);
+}
+
+// router --A0 2-- c0, --A1 2-- c1, then server --U uplink-- router, so U
+// has the highest id and loses every share tie to an access link.
+struct TiedUplink {
+  Harness h;
+  NodeId server, c0, c1;
+  LinkId u;
+
+  explicit TiedUplink(double uplink_bps) {
+    NodeId router = h.topo.add_node("router");
+    c0 = h.topo.add_node("c0");
+    c1 = h.topo.add_node("c1");
+    server = h.topo.add_node("server");
+    h.topo.add_link(router, c0, 2, 0.0);
+    h.topo.add_link(router, c1, 2, 0.0);
+    u = h.topo.add_link(server, router, uplink_bps, 0.0);
+    h.init();
+  }
+};
+
+TEST(FlowCutFixtures, UplinkEndingExactlyAtCapacityBinds) {
+  // U 4 behind two access links of 2. f1 joins while U, with one flow
+  // at 2, is cut at the residual 2: A1 wins the 2 == 2 tie by its lower
+  // id, so U is never popped, yet it ends exactly full. The post-fill
+  // check must bind it (a re-flood) or U would stay cuttable while
+  // saturated.
+  TiedUplink t(4);
+  Harness& h = t.h;
+  const FlowId f0 = h.start(t.server, t.c0, 1'000);
+  ASSERT_TRUE(h.step());
+  EXPECT_TRUE(h.cuttable(t.u));
+  const FlowId f1 = h.start(t.server, t.c1, 1'000);
+  ASSERT_TRUE(h.step());
+  EXPECT_EQ(bits(h.flows->flow_rate(f0)), bits(2.0));
+  EXPECT_EQ(bits(h.flows->flow_rate(f1)), bits(2.0));
+  EXPECT_FALSE(h.cuttable(t.u));
+  EXPECT_EQ(h.refloods(), 2u);
+
+  // U bound: f0's departure floods through it to f1, whose access link
+  // still holds it at 2, and U has slack again.
+  ASSERT_TRUE(h.flows->cancel(f0));
+  h.expect_oracle("after cancel");
+  EXPECT_EQ(bits(h.flows->flow_rate(f1)), bits(2.0));
+  EXPECT_TRUE(h.cuttable(t.u));
+  h.run_all();
+  EXPECT_EQ(h.flows->completed_flows(), 1u);
+}
+
+TEST(FlowCutFixtures, UplinkWithOneUlpOfSlackBinds) {
+  // As above with U one ulp above 4: both flows still run at 2 and U
+  // ends with one ulp of slack. That is rounding, not capacity, so the
+  // margin binds U.
+  const double uplink = std::nextafter(4.0, 8.0);
+  ASSERT_GT(uplink - 2.0 - 2.0, 0.0);
+  TiedUplink t(uplink);
+  Harness& h = t.h;
+  const FlowId f0 = h.start(t.server, t.c0, 1'000);
+  const FlowId f1 = h.start(t.server, t.c1, 1'000);
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(h.step());  // t=0 activations
+  EXPECT_EQ(bits(h.flows->flow_rate(f0)), bits(2.0));
+  EXPECT_EQ(bits(h.flows->flow_rate(f1)), bits(2.0));
+  EXPECT_FALSE(h.cuttable(t.u));
+  EXPECT_EQ(h.refloods(), 2u);
+  h.run_all();
+  EXPECT_EQ(h.flows->completed_flows(), 2u);
 }
 
 // --- Grid-level eviction-churn stress under the auditor -------------------

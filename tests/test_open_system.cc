@@ -9,6 +9,8 @@
 
 #include "fake_engine.h"
 #include "grid/experiment.h"
+#include "grid/grid_simulation.h"
+#include "obs/observability.h"
 #include "sched/factory.h"
 #include "sched/tenant_wrr.h"
 #include "workload/registry.h"
@@ -169,6 +171,29 @@ TEST(OpenSystem, MultiTenantWrrRunDrainsAllTenants) {
   const double j = r.jain_fairness();
   EXPECT_GT(j, 0.0);
   EXPECT_LE(j, 1.0);
+}
+
+TEST(OpenSystem, TracedWrrRunProfilesTenantDecisions) {
+  // The WRR wrapper makes no decision itself: its per-tenant schedulers
+  // do, so they must share the run's phase profiler.
+  workload::register_builtin_generators();
+  workload::GeneratorSpec gen;
+  gen.generator = "multi-tenant";
+  gen.coadd.num_tasks = 60;
+  gen.open.process = workload::ArrivalProcess::kPoisson;
+  gen.open.mean_interarrival_s = 150.0;
+  gen.open.tenants = {{"a", 3}, {"b", 1}, {"c", 2}};
+  const workload::Workload wl = workload::build_workload(gen);
+
+  GridConfig config = small_grid();
+  config.obs = obs::Options::all();
+  sched::SchedulerSpec spec;
+  spec.algorithm = sched::Algorithm::kOverlap;
+  GridSimulation sim(config, wl, sched::make_scheduler(spec, &wl.arrivals));
+  const metrics::RunResult r = sim.run();
+  EXPECT_EQ(r.tasks_completed, wl.job.num_tasks());
+  const obs::PhaseProfiler& phases = *sim.observability()->profiler();
+  EXPECT_GT(phases.slot(obs::Phase::kSchedulerDecision).calls, 0u);
 }
 
 TEST(OpenSystem, OpenRunsAreDeterministic) {
