@@ -289,15 +289,16 @@ void BM_ChooseTaskCombined(benchmark::State& state) {
 }
 BENCHMARK(BM_ChooseTaskCombined)->Arg(1000)->Arg(6000);
 
-void BM_ChooseTask(benchmark::State& state) {
-  // One full worker request as a run pays for it: ChooseTask(n) over the
-  // pending bag, the assignment, the cache events of the task's fetch
-  // (the listener upkeep every decision depends on) and the completion.
-  // Combined metric with n = 2, the most expensive configuration. The
-  // engine is the in-memory one the scheduler unit tests use: real site
-  // caches, assignments recorded instead of simulated. The bag drains by
-  // one task per iteration; when it empties, the scheduler is rebuilt
-  // over the warm caches outside the timed region.
+// One full worker request as a run pays for it: ChooseTask(n) over the
+// pending bag, the assignment, the cache events of the task's fetch (the
+// listener upkeep every decision depends on) and the completion. The
+// engine is the in-memory one the scheduler unit tests use: real site
+// caches, assignments recorded instead of simulated. The bag drains by
+// one task per iteration; when it empties, the scheduler is rebuilt over
+// the warm caches outside the timed region. This explains the end-to-end
+// request cost; perfbench's `paper` and `scale` run times measure it.
+void choose_task_cycle(benchmark::State& state, sched::Metric metric,
+                       int choose_n) {
   constexpr std::size_t kSites = 4;
   workload::CoaddParams cp;
   cp.num_tasks = static_cast<std::size_t>(state.range(0));
@@ -305,8 +306,8 @@ void BM_ChooseTask(benchmark::State& state) {
   sched::testing::FakeEngine engine(job, kSites, /*workers_per_site=*/1,
                                     /*capacity=*/6000);
   sched::WorkerCentricParams params;
-  params.metric = sched::Metric::kCombined;
-  params.choose_n = 2;
+  params.metric = metric;
+  params.choose_n = choose_n;
   auto scheduler = std::make_unique<sched::WorkerCentricScheduler>(params);
   scheduler->attach(engine);
   scheduler->on_job_submitted();
@@ -330,7 +331,24 @@ void BM_ChooseTask(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+// Combined with n = 2, the most expensive configuration: a ref-term
+// division and a table load per pending task.
+void BM_ChooseTask(benchmark::State& state) {
+  choose_task_cycle(state, sched::Metric::kCombined, 2);
+}
 BENCHMARK(BM_ChooseTask)
+    ->Unit(benchmark::kMicrosecond)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000);
+
+// Rest with n = 1, the `scale` workload's configuration: one packed
+// integer key per pending task, no floating point.
+void BM_ChooseTask_rest_n1(benchmark::State& state) {
+  choose_task_cycle(state, sched::Metric::kRest, 1);
+}
+BENCHMARK(BM_ChooseTask_rest_n1)
     ->Unit(benchmark::kMicrosecond)
     ->Arg(10000)
     ->Arg(100000)

@@ -107,7 +107,9 @@ SiteId DataReplicator::pick_target(FileId file) {
     return best;
   };
 
-  std::size_t chosen;
+  // Every placement below overwrites this; the initializer only spares
+  // the compiler from proving the switch exhaustive.
+  std::size_t chosen = candidates.front();
   switch (params_.placement) {
     case Placement::kRandom:
       chosen = candidates[rng_.index(candidates.size())];
@@ -136,7 +138,6 @@ SiteId DataReplicator::pick_target(FileId file) {
       // DIANA cost: delivery time over the site's uplink, inflated by the
       // backlog the new replica would queue behind. Strict < keeps the
       // lowest site id on ties.
-      chosen = candidates.front();
       double best_cost = 0;
       bool first = true;
       for (std::size_t s : candidates) {

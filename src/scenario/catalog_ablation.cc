@@ -36,7 +36,6 @@ void register_ablation_scenarios() {
         spec.metric = Metric::kMakespanMinutes;
         spec.metric_name = "makespan (minutes)";
         spec.workload.coadd = paper_workload(options);
-        spec.base_config = paper_platform();
         for (int n : {1, 2}) {
           for (auto formula : {sched::CombinedFormula::kProse,
                                sched::CombinedFormula::kVerbatim}) {
@@ -69,7 +68,6 @@ void register_ablation_scenarios() {
         spec.metric = Metric::kMakespanMinutes;
         spec.metric_name = "makespan (minutes)";
         spec.workload.coadd = paper_workload(options);
-        spec.base_config = paper_platform();
         for (auto algorithm :
              {sched::Algorithm::kRest, sched::Algorithm::kCombined})
           for (int n : {1, 2, 4, 8}) {
@@ -96,7 +94,6 @@ void register_ablation_scenarios() {
         spec.metric = Metric::kMakespanMinutes;
         spec.metric_name = "makespan (minutes)";
         spec.workload.coadd = paper_workload(options);
-        spec.base_config = paper_platform();
         sched::SchedulerSpec rest;
         rest.algorithm = sched::Algorithm::kRest;
         sched::SchedulerSpec sa;
@@ -134,7 +131,6 @@ void register_ablation_scenarios() {
         spec.metric = Metric::kMakespanMinutes;
         spec.metric_name = "makespan (minutes)";
         spec.workload.coadd = paper_workload(options);
-        spec.base_config = paper_platform();
         sched::SchedulerSpec wq;
         wq.algorithm = sched::Algorithm::kWorkqueue;
         sched::SchedulerSpec xs;

@@ -47,7 +47,6 @@ void register_data_scenarios() {
         spec.metric = Metric::kMakespanMinutes;
         spec.metric_name = "makespan (minutes)";
         spec.workload.coadd = paper_workload(options);
-        spec.base_config = paper_platform();
         spec.schedulers = {rest2(), storage_affinity()};
         std::vector<double> sizes = {0.25, 0.5, 1.0, 2.0, 4.0};
         if (options.fast) sizes = {0.5, 1.0, 4.0};
@@ -86,7 +85,6 @@ void register_data_scenarios() {
         spec.metric = Metric::kMakespanMinutes;
         spec.metric_name = "makespan (minutes)";
         spec.workload.coadd = paper_workload(options);
-        spec.base_config = paper_platform();
         spec.schedulers = {rest2()};
         for (double overlap : {0.0, kCoaddOverlap}) {
           for (auto policy :
@@ -126,7 +124,6 @@ void register_data_scenarios() {
         spec.metric = Metric::kMakespanMinutes;
         spec.metric_name = "makespan (minutes)";
         spec.workload.coadd = paper_workload(options);
-        spec.base_config = paper_platform();
         // Placement matters most for the scheduler whose assignment
         // creates hot spots (the paper's task-centric baseline).
         spec.schedulers = {storage_affinity()};

@@ -25,7 +25,6 @@ void register_extension_scenarios() {
         spec.metric = Metric::kMakespanMinutes;
         spec.metric_name = "makespan (minutes)";
         spec.workload.coadd = paper_workload(options);
-        spec.base_config = paper_platform();
 
         auto rest = [](bool task_replication) {
           sched::SchedulerSpec s;
@@ -88,7 +87,6 @@ void register_extension_scenarios() {
         spec.metric = Metric::kMakespanMinutes;
         spec.metric_name = "makespan (minutes)";
         spec.workload.coadd = paper_workload(options);
-        spec.base_config = paper_platform();
 
         sched::SchedulerSpec sa;
         sa.algorithm = sched::Algorithm::kStorageAffinity;

@@ -51,7 +51,6 @@ ScenarioSpec open_base(const char* name, const BuildOptions& options) {
   spec.name = name;
   spec.workload.coadd = paper_workload(options);
   spec.schedulers = pull_schedulers();
-  spec.base_config = paper_platform();
   return spec;
 }
 

@@ -29,7 +29,6 @@ ScenarioSpec sweep_base(const char* name, const BuildOptions& options) {
   spec.name = name;
   spec.workload.coadd = paper_workload(options);
   spec.schedulers = sched::SchedulerSpec::paper_algorithms();
-  spec.base_config = paper_platform();
   return spec;
 }
 
@@ -57,7 +56,6 @@ void register_table2(const char* name) {
         spec.x_axis = "tasks";
         spec.metric_name = "files per task";
         spec.workload.coadd = paper_workload(options);
-        spec.base_config = paper_platform();
         spec.stats = [](const workload::Job& job, std::ostream& out,
                         const std::optional<std::string>& csv_path) {
           workload::JobStats stats = workload::compute_stats(job);
@@ -103,7 +101,6 @@ void register_fig3(const char* name) {
         spec.x_axis = "min_refs";
         spec.metric_name = "fraction of files";
         spec.workload.coadd = paper_workload(options);
-        spec.base_config = paper_platform();
         spec.stats = [](const workload::Job& job, std::ostream& out,
                         const std::optional<std::string>& csv_path) {
           workload::JobStats stats = workload::compute_stats(job);

@@ -197,7 +197,6 @@ int scenario_main(const std::string& default_scenario, int argc,
     auto resize = [&](grid::GridConfig& c) {
       c.block_store.value().block_size = megabytes(opt.block_size_mb);
     };
-    resize(spec.base_config);
     for (Point& pt : spec.points) resize(pt.config);
   }
 
@@ -205,7 +204,6 @@ int scenario_main(const std::string& default_scenario, int argc,
   // with the named placement, overriding whatever the scenario chose.
   if (!opt.replication.empty()) {
     if (opt.replication == "none") {
-      spec.base_config.replication.reset();
       for (Point& pt : spec.points) pt.config.replication.reset();
     } else {
       replication::Placement placement;
@@ -217,7 +215,6 @@ int scenario_main(const std::string& default_scenario, int argc,
         if (!c.replication) c.replication.emplace();
         c.replication->placement = placement;
       };
-      engage(spec.base_config);
       for (Point& pt : spec.points) engage(pt.config);
     }
   }

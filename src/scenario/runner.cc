@@ -30,24 +30,46 @@ double elapsed_s(const RunOptions& options) {
       .count();
 }
 
-// --trace-out support: run ONE representative simulation (first scenario
-// algorithm, seed 1, Table 1 platform) with full observability and dump
-// its Chrome trace. Kept out of the parallel sweep so concurrent runs
-// never share a trace file.
+// The workload a sweep point runs. File size and workload overrides live
+// in the catalog, so those axes regenerate the workload per point (same
+// seed: identical task -> file structure; only the overridden knob
+// changes). Empty = the spec-level workload.
+std::optional<workload::Workload> point_workload(const ScenarioSpec& spec,
+                                                 const Point& point) {
+  if (!point.file_size && !point.workload) return std::nullopt;
+  workload::GeneratorSpec sized =
+      point.workload ? *point.workload : spec.workload;
+  if (point.file_size) sized.coadd.file_size = *point.file_size;
+  return workload::build_workload(sized);
+}
+
+const std::vector<sched::SchedulerSpec>& point_schedulers(
+    const ScenarioSpec& spec, const Point& point) {
+  return point.schedulers.empty() ? spec.schedulers : point.schedulers;
+}
+
+// --trace-out support: run ONE representative simulation (the first
+// point's platform, workload and first scheduler, seed 1) with full
+// observability and dump its Chrome trace. Kept out of the parallel sweep
+// so concurrent runs never share a trace file.
 std::optional<obs::PhaseProfiler> trace_representative_run(
     const ScenarioSpec& spec, const RunOptions& options,
-    const workload::Workload& workload, std::ostream& out,
+    const workload::Workload& base_workload, std::ostream& out,
     std::ostream& err) {
   if (!options.trace_out) return std::nullopt;
-  grid::GridConfig config = spec.base_config;
+  const Point& point = spec.points.front();
+  grid::GridConfig config = point.config;
   config.audit = config.audit || options.audit;
   config.obs = obs::Options::all();
   config.obs.trace_path = *options.trace_out;
   config.tiers.seed = 1;
-  sched::SchedulerSpec scheduler =
-      spec.schedulers.empty() ? spec.points.front().schedulers.front()
-                              : spec.schedulers.front();
+  const sched::SchedulerSpec& scheduler =
+      point_schedulers(spec, point).front();
   err << "  [traced run: " << scheduler.name() << "]\n";
+  const std::optional<workload::Workload> regenerated =
+      point_workload(spec, point);
+  const workload::Workload& workload =
+      regenerated ? *regenerated : base_workload;
   const workload::ArrivalSchedule* arrivals =
       workload.open() ? &workload.arrivals : nullptr;
   grid::GridSimulation sim(config, workload,
@@ -124,28 +146,15 @@ int run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
     grid::GridConfig config = point.config;
     config.audit = config.audit || options.audit;
 
-    // File size and workload overrides live in the catalog, so those
-    // axes regenerate the workload per point (same seed: identical
-    // task -> file structure; only the overridden knob changes).
-    workload::Workload point_workload;
-    const bool regenerate = point.file_size || point.workload;
-    if (regenerate) {
-      workload::GeneratorSpec sized =
-          point.workload ? *point.workload : spec.workload;
-      if (point.file_size) sized.coadd.file_size = *point.file_size;
-      point_workload = workload::build_workload(sized);
-    }
-    const workload::Workload& wl =
-        regenerate ? point_workload : base_workload;
-
-    const std::vector<sched::SchedulerSpec>& schedulers =
-        point.schedulers.empty() ? spec.schedulers : point.schedulers;
+    const std::optional<workload::Workload> regenerated =
+        point_workload(spec, point);
+    const workload::Workload& wl = regenerated ? *regenerated : base_workload;
 
     SweepPoint pt;
     pt.x = point.x;
     pt.label = point.label;
     pt.rows = grid::run_matrix(
-        config, wl, schedulers, seeds,
+        config, wl, point_schedulers(spec, point), seeds,
         [&](const std::string& s) {
           err << "  [" << point.label << ": " << s << "]\n";
         },

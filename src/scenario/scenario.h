@@ -93,9 +93,6 @@ struct ScenarioSpec {
 
   std::vector<Point> points;
 
-  // Platform for the --trace-out representative run (Table 1 defaults).
-  grid::GridConfig base_config;
-
   // Optional trailing interpretation paragraph ("reading: ...").
   std::string notes;
 

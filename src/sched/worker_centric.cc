@@ -169,12 +169,33 @@ void WorkerCentricScheduler::on_cache_event(SiteId site,
   }
 }
 
+namespace {
+
+// rest_t = 1/missing, kFullOverlapRestWeight when nothing is missing.
+double rest_weight(std::uint32_t missing) {
+  return missing == 0 ? kFullOverlapRestWeight
+                      : 1.0 / static_cast<double>(missing);
+}
+
+// The two terms of the combined metric. choose_task tabulates the rest
+// term per `missing` through the same function, so the table and
+// weight_of agree bit for bit.
+double ref_term(std::uint64_t ref_sum, double total_ref) {
+  return total_ref > 0 ? static_cast<double>(ref_sum) / total_ref : 0.0;
+}
+
+double rest_term(double rest, double total_rest, CombinedFormula formula) {
+  if (formula == CombinedFormula::kProse)
+    return total_rest > 0 ? rest / total_rest : 0.0;
+  return total_rest / rest;  // verbatim paper formula
+}
+
+}  // namespace
+
 double WorkerCentricScheduler::rest_of(const SiteIndex& idx,
                                        TaskId task) const {
   WCS_DCHECK_LE(idx.overlap[task.value()], task_size_[task.value()]);
-  const std::uint32_t missing = missing_of(idx, task);
-  return missing == 0 ? kFullOverlapRestWeight
-                      : 1.0 / static_cast<double>(missing);
+  return rest_weight(missing_of(idx, task));
 }
 
 std::pair<double, double> WorkerCentricScheduler::scan_totals(
@@ -224,16 +245,10 @@ double WorkerCentricScheduler::weight_of(const SiteIndex& idx, TaskId task,
       return static_cast<double>(idx.overlap[task.value()]);
     case Metric::kRest:
       return rest_of(idx, task);
-    case Metric::kCombined: {
-      double ref_term =
-          total_ref > 0
-              ? static_cast<double>(idx.ref_sum[task.value()]) / total_ref
-              : 0.0;
-      double rest = rest_of(idx, task);
-      if (params_.combined_formula == CombinedFormula::kProse)
-        return ref_term + (total_rest > 0 ? rest / total_rest : 0.0);
-      return ref_term + total_rest / rest;  // verbatim paper formula
-    }
+    case Metric::kCombined:
+      return ref_term(idx.ref_sum[task.value()], total_ref) +
+             rest_term(rest_of(idx, task), total_rest,
+                       params_.combined_formula);
   }
   WCS_CHECK(false);
   return 0;
@@ -303,41 +318,60 @@ std::size_t WorkerCentricScheduler::overlap_cardinality(SiteId site,
 
 namespace {
 
-// Top-n candidate buffer ordered by (weight desc, task id asc) — the
-// ChooseTask(n) selection order. n is tiny (1 or 2 in the paper), so
-// insertion beats sorting T entries.
-struct TopN {
-  struct Candidate {
-    double weight;
-    TaskId task;
-  };
+// A ChooseTask(n) candidate; `<` means "ranks ahead of": weight desc,
+// then task id asc.
+struct Candidate {
+  double weight;
+  TaskId task;
 
-  explicit TopN(std::size_t limit) : n(limit) { best.reserve(limit + 1); }
-
-  static bool better(const Candidate& a, const Candidate& b) {
-    if (a.weight != b.weight) return a.weight > b.weight;
-    return a.task < b.task;
+  bool operator<(const Candidate& other) const {
+    if (weight != other.weight) return weight > other.weight;
+    return task < other.task;
   }
-
-  void offer(Candidate c) {
-    if (best.size() == n && !better(c, best.back())) return;
-    auto pos = std::upper_bound(best.begin(), best.end(), c, better);
-    best.insert(pos, c);
-    if (best.size() > n) best.pop_back();
-  }
-
-  std::size_t n;
-  std::vector<Candidate> best;
 };
 
-// Samples among the collected best-n proportionally to weight (uniform
-// when all weights are zero — see Rng::weighted_index).
-TaskId pick_from(const TopN& topn, Rng& rng) {
-  if (topn.best.size() == 1) return topn.best[0].task;
-  std::vector<double> weights;
-  weights.reserve(topn.best.size());
-  for (const TopN::Candidate& c : topn.best) weights.push_back(c.weight);
-  return topn.best[rng.weighted_index(weights)].task;
+// Up to two finalists (the paper's n) live inline, so a decision does no
+// heap allocation: a heap block per request measurably fragmented the
+// heap of long open-system runs.
+template <typename T>
+using Finalists = common::InlineVec<T, 2>;
+
+// The `limit` smallest of a stream of distinct keys, ascending. n is tiny
+// (1 or 2 in the paper), so an insertion step into a short sorted buffer
+// beats sorting the bag, and almost every key stops at the reject against
+// the current n-th.
+template <typename Key>
+class SmallestN {
+ public:
+  explicit SmallestN(std::size_t limit) : limit_(limit) {}
+
+  void offer(const Key& key) {
+    if (full_ && !(key < nth_)) return;
+    if (full_) keys_.pop_back();
+    keys_.push_back(key);
+    for (std::size_t i = keys_.size() - 1; i > 0 && keys_[i] < keys_[i - 1];
+         --i)
+      std::swap(keys_[i], keys_[i - 1]);
+    full_ = keys_.size() == limit_;
+    nth_ = keys_.back();
+  }
+
+  [[nodiscard]] const Finalists<Key>& keys() const { return keys_; }
+
+ private:
+  std::size_t limit_;
+  bool full_ = false;
+  Key nth_{};  // keys_.back(), kept apart so a reject reads no buffer
+  Finalists<Key> keys_;
+};
+
+// Samples among the best n proportionally to weight (uniform when all
+// weights are zero — see Rng::weighted_index).
+TaskId pick_from(const Finalists<Candidate>& best, Rng& rng) {
+  if (best.size() == 1) return best[0].task;
+  Finalists<double> weights;
+  for (const Candidate& c : best) weights.push_back(c.weight);
+  return best[rng.weighted_index({weights.data(), weights.size()})].task;
 }
 
 }  // namespace
@@ -345,17 +379,58 @@ TaskId pick_from(const TopN& topn, Rng& rng) {
 TaskId WorkerCentricScheduler::choose_task(SiteId site) {
   WCS_CHECK(!pending_list_.empty());
   const SiteIndex& idx = sites_[site.value()];
+  const std::size_t n = std::min<std::size_t>(
+      static_cast<std::size_t>(params_.choose_n), pending_list_.size());
 
-  double total_ref = 0;
-  double total_rest = 0;
-  if (params_.metric == Metric::kCombined)
-    std::tie(total_ref, total_rest) = totals(idx);
+  if (params_.metric == Metric::kCombined) {
+    // The rest term depends only on `missing`: tabulate it once per
+    // decision, leaving one division (the ref term) and one load per task.
+    // Inline room for 128 counts covers Coadd (at most 101 files a task).
+    const auto [total_ref, total_rest] = totals(idx);
+    common::InlineVec<double, 128> rest_terms;
+    for (std::size_t m = 0; m < idx.missing_hist.size(); ++m)
+      rest_terms.push_back(rest_term(
+          rest_weight(static_cast<std::uint32_t>(m)), total_rest,
+          params_.combined_formula));
+    const double* terms = rest_terms.data();
+    SmallestN<Candidate> best(n);
+    for (TaskId t : pending_list_) {
+      WCS_DCHECK_LE(idx.overlap[t.value()], task_size_[t.value()]);
+      best.offer({ref_term(idx.ref_sum[t.value()], total_ref) +
+                      terms[missing_of(idx, t)],
+                  t});
+    }
+    return pick_from(best.keys(), rng_);
+  }
 
-  TopN topn(std::min<std::size_t>(
-      static_cast<std::size_t>(params_.choose_n), pending_list_.size()));
-  for (TaskId t : pending_list_)
-    topn.offer({weight_of(idx, t, total_ref, total_rest), t});
-  return pick_from(topn, rng_);
+  // rest and overlap weights are strictly monotone in an integer count:
+  // rest decreases in `missing` (1/m, and kFullOverlapRestWeight > 1 at
+  // m = 0), overlap increases in `overlap`. Ranking by the packed key
+  // (count << 32 | id), with count = missing or 0xFFFFFFFF - overlap, is
+  // therefore exactly (weight desc, id asc), with no floating point in
+  // the scan. Only the n winners are turned back into weights.
+  SmallestN<std::uint64_t> best(n);
+  auto scan = [&](auto count_of) {
+    for (TaskId t : pending_list_) {
+      const std::uint32_t overlap = idx.overlap[t.value()];
+      // An overlap above |t| would wrap `missing` silently in Release.
+      WCS_DCHECK_LE(overlap, task_size_[t.value()]);
+      best.offer((std::uint64_t{count_of(t, overlap)} << 32) | t.value());
+    }
+  };
+  if (params_.metric == Metric::kRest)
+    scan([&](TaskId t, std::uint32_t overlap) {
+      return task_size_[t.value()] - overlap;
+    });
+  else
+    scan([](TaskId, std::uint32_t overlap) { return 0xFFFFFFFFu - overlap; });
+
+  Finalists<Candidate> finalists;
+  for (std::uint64_t key : best.keys()) {
+    const TaskId t(static_cast<TaskId::underlying_type>(key & 0xFFFFFFFFu));
+    finalists.push_back({weight_of(idx, t, 0, 0), t});
+  }
+  return pick_from(finalists, rng_);
 }
 
 void WorkerCentricScheduler::remove_pending(TaskId task) {

@@ -30,14 +30,28 @@
 //      integer sum + missing-count histogram) make the normalizers O(1)
 //      per decision instead of a second O(T) scan.
 //
-// ChooseTask(n) then scans the pending bag once. A bucketed index over
-// the bag was tried and removed: it won its microbenchmark but lost end
-// to end, because every cache event re-keyed each pending task that
-// references the file (DESIGN.md §Performance architecture). Tests
-// cross-check weights and choices against the naive computation under
-// random interleavings, the golden runs pin exact totals, and --audit
-// cross-validates every counter and aggregate against a brute-force
-// rescan.
+// ChooseTask(n) then scans the pending bag once, keeping the n best in a
+// short sorted buffer, at a few integer operations per task:
+//
+//   - rest and overlap compare packed integer keys
+//     (count << 32 | task id), count = missing resp. 0xFFFFFFFF -
+//     overlap. Both weights are strictly monotone in that count (1/m
+//     strictly decreases, and kFullOverlapRestWeight at m = 0 exceeds
+//     every 1/m), and the id in the low bits is the id-ascending
+//     tie-break, so the key order IS the (weight desc, id asc) order.
+//     Only the n winners are turned back into weights for the draw.
+//   - combined's rest term depends only on `missing`, so each decision
+//     tabulates it once per missing count through the very functions
+//     weight_of() uses; a task then costs one ref-term division and one
+//     table load, and its weight is bit-identical to weight_of()'s.
+//
+// A bucketed index over the bag was tried and removed: it won its
+// microbenchmark but lost end to end, because every cache event re-keyed
+// each pending task that references the file (DESIGN.md §Performance
+// architecture). Tests cross-check weights and choices against the naive
+// computation under random interleavings, the golden runs pin exact
+// totals, and --audit cross-validates every counter and aggregate against
+// a brute-force rescan.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 // a schema-valid run report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -138,6 +139,51 @@ TEST(ScenarioReport, ReportIsSchemaValid) {
   ro.err = &err;
   ASSERT_EQ(run_scenario(spec, ro), 0);
   EXPECT_TRUE(obs::validate_report_file(path).empty());
+}
+
+TEST(ScenarioTrace, TracedRunUsesTheFirstPointsPlatform) {
+  // The spec-level scheduler set runs on a platform that only the point
+  // carries: replication. The traced run must run that platform.
+  ScenarioSpec spec;
+  spec.name = "trace_first_point";
+  spec.title = "traced run on a point's platform";
+  spec.x_axis = "policy";
+  spec.metric_name = "makespan (minutes)";
+  spec.workload.coadd = detail::paper_workload(small_build());
+  sched::SchedulerSpec sa;
+  sa.algorithm = sched::Algorithm::kStorageAffinity;
+  spec.schedulers = {sa};
+  Point pt;
+  pt.label = "least-loaded";
+  pt.config = detail::paper_platform();
+  pt.config.replication.emplace();
+  pt.config.replication->placement = replication::Placement::kLeastLoaded;
+  spec.points.push_back(std::move(pt));
+
+  RunOptions ro;
+  ro.seeds = 1;
+  ro.jobs = 1;
+  ro.tasks = 120;
+  ro.fast = true;
+  ro.report_name = "test_scenario_trace";
+  ro.trace_out = testing::TempDir() + "/test_scenario_trace.json";
+  const std::string report =
+      testing::TempDir() + "/test_scenario_trace_report.json";
+  ro.report_path = report;
+  std::ostringstream out, err;
+  ro.out = &out;
+  ro.err = &err;
+  ASSERT_EQ(run_scenario(spec, ro), 0);
+
+  const obs::JsonValue doc = obs::parse_json_file(report);
+  const obs::JsonValue* phases = doc.find("phases");
+  ASSERT_NE(phases, nullptr);
+  ASSERT_TRUE(phases->is_array());
+  std::vector<std::string> names;
+  for (const obs::JsonValue& ph : phases->array)
+    names.push_back(ph.find("phase")->string);
+  EXPECT_NE(std::find(names.begin(), names.end(), "replication"),
+            names.end());
 }
 
 TEST(ScenarioCli, UnknownScenarioFailsWithUsageError) {

@@ -96,8 +96,9 @@ TEST(TraceLoader, SparseIdCostsNoStagingForTheGap) {
   const common::AllocSnapshot before = common::alloc_snapshot();
   EXPECT_THROW((void)load_job(in), std::logic_error);
   const common::AllocSnapshot after = common::alloc_snapshot();
-  if (common::alloc_counting_enabled())
+  if (common::alloc_counting_enabled()) {
     EXPECT_LT(after.bytes - before.bytes, 64u * 1024u);
+  }
 }
 
 TEST(TraceLoader, RejectsDuplicateAndGappedIds) {

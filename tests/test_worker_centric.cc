@@ -295,6 +295,75 @@ TEST(ChooseTask, AllZeroWeightsSampleUniformlyAmongBestN) {
   EXPECT_NEAR(picks[1], 200, 60);
 }
 
+TEST(ChooseTask, RestFullyResidentBeatsOneMissingAtAHigherId) {
+  // t0 misses one file, t1 none: rest ranks by `missing` before task id,
+  // so the higher id wins, and both weights reach the n = 2 draw intact.
+  auto job = make_job({{0}, {1, 2}}, 3);
+  FakeEngine eng(job, 1, 1);
+  auto sched = make_sched(Metric::kRest);
+  sched.attach(eng);
+  sched.on_job_submitted();
+  eng.add_file(SiteId(0), FileId(1));
+  eng.add_file(SiteId(0), FileId(2));
+  EXPECT_DOUBLE_EQ(sched.weight(SiteId(0), TaskId(0)), 1.0);
+  EXPECT_DOUBLE_EQ(sched.weight(SiteId(0), TaskId(1)), kFullOverlapRestWeight);
+  sched.on_worker_idle(WorkerId(0));
+  ASSERT_EQ(eng.assignments.size(), 1u);
+  EXPECT_EQ(eng.assignments[0].first, TaskId(1));
+
+  std::map<unsigned, int> picks;
+  for (std::uint64_t seed = 0; seed < 600; ++seed) {
+    FakeEngine eng2(job, 1, 1);
+    auto sched2 = make_sched(Metric::kRest, 2, CombinedFormula::kProse, seed);
+    sched2.attach(eng2);
+    sched2.on_job_submitted();
+    eng2.add_file(SiteId(0), FileId(1));
+    eng2.add_file(SiteId(0), FileId(2));
+    sched2.on_worker_idle(WorkerId(0));
+    ++picks[eng2.assignments[0].first.value()];
+  }
+  // Weights 2 : 1.
+  const double ratio = static_cast<double>(picks[1]) / picks[0];
+  EXPECT_GT(ratio, 1.5);
+  EXPECT_LT(ratio, 2.7);
+}
+
+// Twelve single-file tasks on a cold cache tie under every metric (all
+// overlaps zero, all `missing` one, totalRef zero). Assigning t0 swaps
+// t11 to the front of the pending list, and a crash re-adds t0 at its
+// back, so the scan meets ids out of order; each pick must still be the
+// lowest pending id.
+void expect_ties_break_to_lowest_id(Metric metric, CombinedFormula formula) {
+  std::vector<std::vector<unsigned>> sets;
+  for (unsigned f = 0; f < 12; ++f) sets.push_back({f});
+  const workload::Job job = make_job(std::move(sets), 12);
+  FakeEngine eng(job, 1, 2);
+  auto sched = make_sched(metric, 1, formula);
+  sched.attach(eng);
+  sched.on_job_submitted();
+  sched.on_worker_idle(WorkerId(0));
+  sched.on_worker_idle(WorkerId(1));
+  sched.on_worker_failed(WorkerId(0), {TaskId(0)});
+  for (int i = 0; i < 10; ++i) sched.on_worker_idle(WorkerId(1));
+  std::vector<unsigned> order;
+  for (const auto& [t, w] : eng.assignments) order.push_back(t.value());
+  EXPECT_EQ(order, (std::vector<unsigned>{0, 1, 0, 2, 3, 4, 5, 6, 7, 8, 9,
+                                          10}))
+      << sched.name();
+}
+
+TEST(ChooseTask, OverlapAllZeroTiesBreakToLowestPendingId) {
+  expect_ties_break_to_lowest_id(Metric::kOverlap, CombinedFormula::kProse);
+}
+TEST(ChooseTask, RestTiesBreakToLowestPendingId) {
+  expect_ties_break_to_lowest_id(Metric::kRest, CombinedFormula::kProse);
+}
+TEST(ChooseTask, CombinedTiesBreakToLowestPendingId) {
+  expect_ties_break_to_lowest_id(Metric::kCombined, CombinedFormula::kProse);
+  expect_ties_break_to_lowest_id(Metric::kCombined,
+                                 CombinedFormula::kVerbatim);
+}
+
 // --- Bookkeeping ----------------------------------------------------------
 
 TEST(Pending, AssignedTasksLeaveThePool) {
@@ -658,6 +727,27 @@ TEST(ChoiceOracle, CombinedChooseTwo) {
 TEST(ChoiceOracle, CombinedVerbatimChooseTwo) {
   run_choice_oracle(Metric::kCombined, 2, CombinedFormula::kVerbatim,
                     0xFEED);
+}
+// n = 3 keeps a longer sorted buffer; n = 64 exceeds the 36-task bag, so
+// every pending task reaches the draw.
+TEST(ChoiceOracle, OverlapChooseThree) {
+  run_choice_oracle(Metric::kOverlap, 3, CombinedFormula::kProse, 0x31);
+}
+TEST(ChoiceOracle, RestChooseThree) {
+  run_choice_oracle(Metric::kRest, 3, CombinedFormula::kProse, 0x32);
+}
+TEST(ChoiceOracle, CombinedChooseThree) {
+  run_choice_oracle(Metric::kCombined, 3, CombinedFormula::kProse, 0x33);
+}
+TEST(ChoiceOracle, OverlapChooseMoreThanTheBag) {
+  run_choice_oracle(Metric::kOverlap, 64, CombinedFormula::kProse, 0x641);
+}
+TEST(ChoiceOracle, RestChooseMoreThanTheBag) {
+  run_choice_oracle(Metric::kRest, 64, CombinedFormula::kProse, 0x642);
+}
+TEST(ChoiceOracle, CombinedChooseMoreThanTheBag) {
+  run_choice_oracle(Metric::kCombined, 64, CombinedFormula::kVerbatim,
+                    0x643);
 }
 
 }  // namespace
